@@ -79,7 +79,7 @@ let human ns =
   else Printf.sprintf "%.2f s" (ns /. 1e9)
 
 (* The reduced tier runs at every size; the full tier (per-root
-   unions, verify, repair, store, obs overhead) only at the classic
+   unions, verify, multi-edge repair, store, obs overhead) only at the classic
    n <= 2000 sizes — at 10^5 a per-root union or exhaustive verify
    would take minutes and show nothing the sharded rows don't. Rows
    at n > 2000 use a smaller timing budget (min_time 0.05, 2 reps):
@@ -115,18 +115,11 @@ let bench_size rows ~seen ~tier ~n =
   add "io/to-binary" (fun () -> Graph_io.to_binary_string g);
   add "io/load-text" (fun () -> Graph_io.of_string text);
   add "io/load-binary" (fun () -> Graph_io.of_binary_string bin);
-  if tier = `Full then begin
-  add "domtree/mis-r3" (fun () -> Dom_tree.mis ~scratch g ~r:3 0);
-  add "union/exact-seq" (fun () -> Remote_spanner.exact_distance g);
-  add "union/exact-par4" (fun () -> Parallel.exact_distance ~domains:4 g);
-  let h = Remote_spanner.exact_distance g in
-  add "verify/seq" (fun () -> Verify.is_remote_spanner g h ~alpha:1.0 ~beta:0.0);
-  add "verify/par4" (fun () ->
-      Parallel.is_remote_spanner ~domains:4 g h ~alpha:1.0 ~beta:0.0);
   (* Incremental repair: remove a batch of spread-out edges, then
      restore them (state cycles back, so the benchmark is steady).
      Compare against union/exact-seq, the from-scratch rebuild of the
-     same (1,0) spanner. *)
+     same (1,0) spanner. The single-edge row runs at every size: its
+     log-log slope is the "write path costs the delta, not n" gate. *)
   let module D = Rs_dynamic.Delta in
   let module R = Rs_dynamic.Repair in
   let st = R.init (R.Gdy_k { k = 1 }) g in
@@ -143,6 +136,14 @@ let bench_size rows ~seen ~tier ~n =
         ignore (R.apply st restores))
   in
   add_repair "repair/delta1" 1;
+  if tier = `Full then begin
+  add "domtree/mis-r3" (fun () -> Dom_tree.mis ~scratch g ~r:3 0);
+  add "union/exact-seq" (fun () -> Remote_spanner.exact_distance g);
+  add "union/exact-par4" (fun () -> Parallel.exact_distance ~domains:4 g);
+  let h = Remote_spanner.exact_distance g in
+  add "verify/seq" (fun () -> Verify.is_remote_spanner g h ~alpha:1.0 ~beta:0.0);
+  add "verify/par4" (fun () ->
+      Parallel.is_remote_spanner ~domains:4 g h ~alpha:1.0 ~beta:0.0);
   add_repair "repair/delta-n100" (n / 100);
   add_repair "repair/delta-n10" (n / 10);
   (* Durable-store load fast path: parsing the text format (split,

@@ -6,26 +6,33 @@ let c_trees = Obs.counter "domtree/trees_built"
 let c_layers = Obs.counter "domtree/layers"
 let h_candidates = Obs.histogram "domtree/candidate_set"
 
+(* The definition checked over B(u, r) only: one bounded traversal and
+   a neighbor scan per ball vertex, never an n-array or an n-scan. *)
+let dominates ~scratch g ~r ~beta u ~depth =
+  Bfs.Scratch.run ~radius:r scratch g u;
+  let ok = ref true and i = ref 0 in
+  let count = Bfs.Scratch.visited_count scratch in
+  while !ok && !i < count do
+    let v = Bfs.Scratch.visited scratch !i in
+    let r' = Bfs.Scratch.dist scratch v in
+    if r' >= 2 then begin
+      let bound = r' - 1 + beta in
+      let dominated = ref false in
+      Graph.iter_neighbors g v (fun x ->
+          let d = depth x in
+          if d >= 0 && d <= bound then dominated := true);
+      if not !dominated then ok := false
+    end;
+    incr i
+  done;
+  !ok
+
+let check_scratch = Domain.DLS.new_key Bfs.Scratch.create
+
 let is_dominating g ~r ~beta t =
-  let u = Tree.root t in
   Tree.edges_in g t
-  && begin
-       let dist = Bfs.dist ~radius:r g u in
-       let ok = ref true in
-       Graph.iter_vertices
-         (fun v ->
-           let r' = dist.(v) in
-           if r' >= 2 && r' <= r then begin
-             let dominated =
-               Array.exists
-                 (fun x -> Tree.mem t x && Tree.depth t x <= r' - 1 + beta)
-                 (Graph.neighbors g v)
-             in
-             if not dominated then ok := false
-           end)
-         g;
-       !ok
-     end
+  && dominates ~scratch:(Domain.DLS.get check_scratch) g ~r ~beta (Tree.root t) ~depth:(fun x ->
+         if Tree.mem t x then Tree.depth t x else -1)
 
 (* Sphere/annulus covering instance for one layer: elements are the
    sphere nodes, sets are the balls B(x, 1) for annulus candidates x.
@@ -190,6 +197,34 @@ let mis ?scratch g ~r u =
     ~dead_mem:(Bfs.Marks.mem dead)
     ~dead_add:(Bfs.Marks.set dead);
   t
+
+(* Emission-order [(parent, child)] edges with a per-tree membership
+   table instead of an n-sized [Tree.t]: the cost stays proportional to
+   the explored ball, which is what an incremental repair needs. *)
+let collect u f =
+  let mem = Hashtbl.create 16 and acc = ref [] in
+  Hashtbl.replace mem u ();
+  f ~mem:(Hashtbl.mem mem) ~add:(fun p c ->
+      Hashtbl.replace mem c ();
+      acc := (p, c) :: !acc);
+  List.rev !acc
+
+let gdy_edges ~scratch g ~r ~beta u =
+  if r < 1 || beta < 0 then invalid_arg "Dom_tree.gdy: need r >= 1, beta >= 0";
+  Bfs.Scratch.run ~radius:(r + beta) scratch g u;
+  let levels = levels_of scratch ~max_dist:(r + beta) in
+  collect u (gdy_emit g ~r ~beta ~levels ~parent_of:(Bfs.Scratch.parent scratch))
+
+let mis_edges ~scratch g ~r u =
+  if r < 1 then invalid_arg "Dom_tree.mis: need r >= 1";
+  Bfs.Scratch.run ~radius:r scratch g u;
+  let levels = levels_of scratch ~max_dist:r in
+  let dead = Bfs.Scratch.marks scratch in
+  Bfs.Marks.clear dead;
+  collect u (fun ~mem ~add ->
+      mis_emit g ~r ~levels
+        ~parent_of:(Bfs.Scratch.parent scratch)
+        ~mem ~add ~dead_mem:(Bfs.Marks.mem dead) ~dead_add:(Bfs.Marks.set dead))
 
 let optimal_size_star ?limit g u =
   let dist = Bfs.dist ~radius:2 g u in

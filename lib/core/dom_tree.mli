@@ -18,7 +18,16 @@ open Rs_graph
 
 val is_dominating : Graph.t -> r:int -> beta:int -> Tree.t -> bool
 (** Literal check of the definition above, plus that the tree's edges
-    belong to the graph and its root paths are genuine. *)
+    belong to the graph and its root paths are genuine. The definition
+    part is {!dominates}. *)
+
+val dominates :
+  scratch:Bfs.Scratch.t -> Graph.t -> r:int -> beta:int -> int -> depth:(int -> int) -> bool
+(** [dominates ~scratch g ~r ~beta u ~depth] checks the domination
+    condition for root [u] given the tree as [depth x] (tree depth of a
+    member [x], [-1] for non-members): one BFS of radius [r] and a
+    neighbor scan per ball vertex, so the cost is that of the ball, not
+    of [n]. The tree's edges are not checked. *)
 
 val gdy : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> beta:int -> int -> Tree.t
 (** [gdy g ~r ~beta u]: Algorithm 1. For each layer [r' = 2..r] it
@@ -38,6 +47,14 @@ val mis : ?scratch:Bfs.Scratch.t -> Graph.t -> r:int -> int -> Tree.t
     maximal independent set of [B(u,r) \ B(u,1)] by increasing
     distance from [u] (ties by id) and grafts shortest paths.
     [~scratch] as in {!gdy}. *)
+
+val gdy_edges : scratch:Bfs.Scratch.t -> Graph.t -> r:int -> beta:int -> int -> (int * int) list
+(** The [(parent, child)] edges of [gdy ~scratch g ~r ~beta u] in
+    emission order (every parent before its children), without the
+    n-sized {!Tree.t}: cost proportional to the explored ball. *)
+
+val mis_edges : scratch:Bfs.Scratch.t -> Graph.t -> r:int -> int -> (int * int) list
+(** Same for {!mis}. *)
 
 (** {2 Edge-emitting cores}
 

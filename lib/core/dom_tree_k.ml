@@ -19,26 +19,38 @@ let disjoint_branch_count g t ~beta v =
 let common_neighbors g u v =
   Array.to_list (Graph.neighbors g v) |> List.filter (fun w -> Graph.mem_edge g u w)
 
+(* The definition checked over B(u, 2) only: the 2-sphere comes off one
+   bounded traversal, and a sphere node's common neighbors with [u] are
+   exactly its neighbors at distance 1. *)
+let k_dominates ~scratch g ~k ~beta u ~depth ~first_hop =
+  Bfs.Scratch.run ~radius:2 scratch g u;
+  let ok = ref true and i = ref 0 in
+  let count = Bfs.Scratch.visited_count scratch in
+  while !ok && !i < count do
+    let v = Bfs.Scratch.visited scratch !i in
+    if Bfs.Scratch.dist scratch v = 2 then begin
+      let hops = ref [] and stars = ref true in
+      Graph.iter_neighbors g v (fun x ->
+          let d = depth x in
+          if d >= 1 && d <= 1 + beta then begin
+            let h = first_hop x in
+            if not (List.mem h !hops) then hops := h :: !hops
+          end;
+          if Bfs.Scratch.dist scratch x = 1 && d <> 1 then stars := false);
+      if List.length !hops < k && not !stars then ok := false
+    end;
+    incr i
+  done;
+  !ok
+
+let check_scratch = Domain.DLS.new_key Bfs.Scratch.create
+
 let is_k_dominating g ~k ~beta t =
   let u = Tree.root t in
+  let depth x = if Tree.mem t x then Tree.depth t x else -1 in
   Tree.edges_in g t
-  && begin
-       let dist = Bfs.dist ~radius:2 g u in
-       let ok = ref true in
-       Graph.iter_vertices
-         (fun v ->
-           if dist.(v) = 2 then begin
-             let covered =
-               disjoint_branch_count g t ~beta v >= k
-               || List.for_all
-                    (fun w -> Tree.mem t w && Tree.parent t w = u)
-                    (common_neighbors g u v)
-             in
-             if not covered then ok := false
-           end)
-         g;
-       !ok
-     end
+  && k_dominates ~scratch:(Domain.DLS.get check_scratch) g ~k ~beta u ~depth
+       ~first_hop:(Tree.first_hop t)
 
 (* Removal rule shared by both algorithms, instantiated with the
    "already fully used" predicate and the disjointness requirement. *)
@@ -105,6 +117,14 @@ let gdy_k ?scratch g ~k u =
   let sphere = sphere2_of s in
   gdy_k_emit g ~k ~sphere u ~add:(fun p c -> Tree.add_edge t ~parent:p ~child:c);
   t
+
+let gdy_k_edges ~scratch g ~k u =
+  if k < 1 then invalid_arg "Dom_tree_k.gdy_k: k < 1";
+  Bfs.Scratch.run ~radius:2 scratch g u;
+  let sphere = sphere2_of scratch in
+  let acc = ref [] in
+  gdy_k_emit g ~k ~sphere u ~add:(fun p c -> acc := (p, c) :: !acc);
+  List.rev !acc
 
 let mis_k ?scratch g ~k u =
   if k < 1 then invalid_arg "Dom_tree_k.mis_k: k < 1";

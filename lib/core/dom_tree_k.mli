@@ -27,7 +27,23 @@ val disjoint_branch_count : Graph.t -> Tree.t -> beta:int -> int -> int
     children whose subtree contains such a neighbor. *)
 
 val is_k_dominating : Graph.t -> k:int -> beta:int -> Tree.t -> bool
-(** Literal check of the definition above. *)
+(** Literal check of the definition above; the condition part is
+    {!k_dominates}. *)
+
+val k_dominates :
+  scratch:Bfs.Scratch.t ->
+  Graph.t ->
+  k:int ->
+  beta:int ->
+  int ->
+  depth:(int -> int) ->
+  first_hop:(int -> int) ->
+  bool
+(** [k_dominates ~scratch g ~k ~beta u ~depth ~first_hop] checks the
+    condition for root [u] with the tree given as [depth x] (tree depth
+    of member [x], [-1] otherwise) and [first_hop x] (depth-1 ancestor
+    of a non-root member): one BFS of radius 2, cost of the 2-ball. The
+    tree's edges are not checked. *)
 
 val gdy_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> Tree.t
 (** Algorithm 4 (DomTreeGdy_{2,0,k}): greedy k-multicover of the
@@ -45,6 +61,10 @@ val gdy_k_emit :
     [add u relay] invoked per star edge. Lets the batched builder
     ([Rs_core.Sharded]) skip the O(n) [Tree.t] per root; edges and
     metrics identical to {!gdy_k}. Assumes [k >= 1]. *)
+
+val gdy_k_edges : scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> (int * int) list
+(** The star edges [(u, relay)] of [gdy_k ~scratch g ~k u] in emission
+    order, without the n-sized {!Tree.t}. *)
 
 val mis_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> Tree.t
 (** Algorithm 5 (DomTreeMIS_{2,1,k}): k rounds of greedy maximal

@@ -17,90 +17,103 @@ let check_edge n u v =
   check_vertex n v;
   if u = v then invalid_arg (Printf.sprintf "Delta: self-loop at vertex %d" u)
 
-(* Edge sets as int-encoded canonical pairs in a hash table: a
-   polymorphic-compare [Set] of boxed tuples made every apply O(m log m)
-   with a constant large enough to dominate repair latency. *)
+let validate ~n ops =
+  List.iter
+    (function
+      | Add_edge (u, v) | Remove_edge (u, v) -> check_edge n u v
+      | Node_down u -> check_vertex n u
+      | Node_up (u, links) -> List.iter (check_edge n u) links)
+    ops
+
+(* The batch replayed against a small overlay over [g]: int-encoded
+   canonical pair -> present after the ops so far. Untouched pairs read
+   through to [Graph.mem_edge], so the cost is O(|delta| + sum of the
+   degrees of downed nodes), never O(m). *)
 let encode n u v = if u <= v then (u * n) + v else (v * n) + u
 let decode n e = (e / n, e mod n)
 
-let edge_tbl g =
+let effect g ops =
   let n = Graph.n g in
-  let t = Hashtbl.create (1 + (2 * Graph.m g)) in
-  Graph.fold_edges
-    (fun () u v ->
-      Hashtbl.replace t (encode n u v) ();
-      ())
-    () g;
-  t
-
-let after_tbl g ops =
-  let n = Graph.n g in
-  let t = edge_tbl g in
+  validate ~n ops;
+  let over = Hashtbl.create 16 in
   List.iter
     (fun op ->
       match op with
-      | Add_edge (u, v) ->
-          check_edge n u v;
-          Hashtbl.replace t (encode n u v) ()
-      | Remove_edge (u, v) ->
-          check_edge n u v;
-          Hashtbl.remove t (encode n u v)
+      | Add_edge (u, v) -> Hashtbl.replace over (encode n u v) true
+      | Remove_edge (u, v) -> Hashtbl.replace over (encode n u v) false
       | Node_down u ->
-          check_vertex n u;
+          (* incident now = [g]'s edges at [u] not yet removed, plus
+             overlay pairs at [u] added earlier in the batch *)
           let doomed =
             Hashtbl.fold
-              (fun e () acc ->
-                let a, b = decode n e in
-                if a = u || b = u then e :: acc else acc)
-              t []
+              (fun e b acc ->
+                let a, c = decode n e in
+                if b && (a = u || c = u) then e :: acc else acc)
+              over []
           in
-          List.iter (Hashtbl.remove t) doomed
+          List.iter (fun e -> Hashtbl.replace over e false) doomed;
+          Graph.iter_neighbors g u (fun v -> Hashtbl.replace over (encode n u v) false)
       | Node_up (u, links) ->
-          List.iter
-            (fun v ->
-              check_edge n u v;
-              Hashtbl.replace t (encode n u v) ())
-            links)
+          List.iter (fun v -> Hashtbl.replace over (encode n u v) true) links)
     ops;
-  t
+  (* sorting int encodings with [Int.compare] is the lexicographic
+     pair order, without polymorphic compare on tuples *)
+  let added = ref [] and removed = ref [] in
+  Hashtbl.iter
+    (fun e after ->
+      let u, v = decode n e in
+      let before = Graph.mem_edge g u v in
+      if after && not before then added := e :: !added
+      else if before && not after then removed := e :: !removed)
+    over;
+  let sorted l = List.map (decode n) (List.sort Int.compare l) in
+  (sorted !added, sorted !removed)
 
-(* Sorting the int encodings with [Int.compare] is the lexicographic
-   pair order, without polymorphic compare on tuples. *)
-let pairs_of_tbl n t =
-  Hashtbl.fold (fun e () acc -> e :: acc) t []
-  |> List.sort Int.compare
-  |> List.map (decode n)
+type net = {
+  base : Graph.t;
+  result : Graph.t;
+  added : (int * int) list;
+  removed : (int * int) list;
+}
 
-let only n t t' =
-  Hashtbl.fold (fun e () acc -> if Hashtbl.mem t' e then acc else e :: acc) t []
-  |> List.sort Int.compare
-  |> List.map (decode n)
+let net g ops =
+  let added, removed = effect g ops in
+  { base = g; result = Graph.patch g ~added ~removed; added; removed }
 
-let effect g ops =
-  let n = Graph.n g in
-  let before = edge_tbl g in
-  let after = after_tbl g ops in
-  (only n after before, only n before after)
+let is_quiescent t = t.added = [] && t.removed = []
 
-let apply g ops =
-  let n = Graph.n g in
-  let before = edge_tbl g in
-  let after = after_tbl g ops in
-  let unchanged =
-    Hashtbl.length before = Hashtbl.length after
-    && Hashtbl.fold (fun e () ok -> ok && Hashtbl.mem before e) after true
-  in
-  if unchanged then g else Graph.make ~n (pairs_of_tbl n after)
+let apply g ops = (net g ops).result
 
+(* one merge walk per vertex over the two graphs' forward neighbors
+   (the tail of each sorted CSR range), top down so the prepends come
+   out in canonical order *)
 let diff g g' =
   if Graph.n g <> Graph.n g' then
     invalid_arg
       (Printf.sprintf "Delta.diff: vertex counts differ (%d vs %d)" (Graph.n g)
          (Graph.n g'));
-  let n = Graph.n g in
-  let before = edge_tbl g and after = edge_tbl g' in
-  List.map (fun (u, v) -> Remove_edge (u, v)) (only n before after)
-  @ List.map (fun (u, v) -> Add_edge (u, v)) (only n after before)
+  let off, nbr = Graph.csr g and off', nbr' = Graph.csr g' in
+  let gone = ref [] and fresh = ref [] in
+  for u = Graph.n g - 1 downto 0 do
+    let i = ref (off.(u + 1) - 1) and j = ref (off'.(u + 1) - 1) in
+    let top a off k = if !k >= off.(u) && a.(!k) > u then a.(!k) else -1 in
+    while top nbr off i >= 0 || top nbr' off' j >= 0 do
+      let a = top nbr off i and b = top nbr' off' j in
+      if a = b then begin
+        decr i;
+        decr j
+      end
+      else if a > b then begin
+        gone := Remove_edge (u, a) :: !gone;
+        decr i
+      end
+      else begin
+        fresh := Add_edge (u, b) :: !fresh;
+        decr j
+      end
+    done
+  done;
+  !gone @ !fresh
 
 let touched ~added ~removed =
   let m = Hashtbl.create 16 in

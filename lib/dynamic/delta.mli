@@ -26,21 +26,47 @@ type op =
 type t = op list
 (** A batch, applied in order. The empty list is the quiescent delta. *)
 
+val validate : n:int -> t -> unit
+(** [validate ~n d] raises exactly the [Invalid_argument] {!effect}
+    would on a graph with [n] vertices (first offending op, same text),
+    in O(|d|) — for callers that only need the range/self-loop check
+    before queueing a delta. *)
+
 val effect : Graph.t -> t -> (int * int) list * (int * int) list
 (** [effect g d] is the {e net} [(added, removed)] canonical edge
-    lists of applying [d] to [g] — ops that cancel out (or are
-    redundant against [g]) do not appear. Raises [Invalid_argument] on
-    out-of-range vertices or self-loops. *)
+    lists of applying [d] to [g], each sorted lexicographically — ops
+    that cancel out (or are redundant against [g]) do not appear.
+    Raises [Invalid_argument] on out-of-range vertices or self-loops.
+    Cost O(|d| + degrees of the downed nodes): the batch is replayed
+    against a small overlay that reads through to {!Graph.mem_edge}. *)
+
+(** A delta resolved against its graph: the net effect computed once
+    and the patched graph, so every consumer of one write (the store,
+    each maintained spanner, the published view) shares both. *)
+type net = {
+  base : Graph.t;  (** the graph the delta was resolved against *)
+  result : Graph.t;
+      (** [Graph.patch base ~added ~removed]; [base] itself when quiescent *)
+  added : (int * int) list;
+  removed : (int * int) list;
+}
+
+val net : Graph.t -> t -> net
+(** [effect] plus one {!Graph.patch}. Raises like {!effect}. *)
+
+val is_quiescent : net -> bool
+(** Nothing was added or removed. *)
 
 val apply : Graph.t -> t -> Graph.t
-(** The graph after the batch (same vertex count). When the net effect
-    is empty this returns [g] itself (physical equality), so quiescent
-    deltas are observably free. *)
+(** The graph after the batch (same vertex count): [(net g d).result].
+    When the net effect is empty this returns [g] itself (physical
+    equality), so quiescent deltas are observably free. *)
 
 val diff : Graph.t -> Graph.t -> t
-(** [diff g g'] is a delta turning [g] into [g'] (edge adds and
-    removes; both graphs must have the same vertex count, checked).
-    [apply g (diff g g')] equals [g']. *)
+(** [diff g g'] is a delta turning [g] into [g'] (edge removes, then
+    adds, each in lexicographic order; both graphs must have the same
+    vertex count, checked). [apply g (diff g g')] equals [g']. One
+    merge walk over the two sorted edge arrays. *)
 
 val touched : added:(int * int) list -> removed:(int * int) list -> int list
 (** Distinct endpoints of the net effect, ascending — the seeds of

@@ -44,19 +44,56 @@ let alpha_beta = function
   | Mis_k _ -> Some (2.0, -1.0)
   | Gdy _ | Mis _ -> None
 
+(* Member -> (depth, first hop) of a tree given as [(parent, child)]
+   edges listed parents-first (emission or shallow-first order): the
+   per-tree O(|T|) index the repair uses in place of an n-sized
+   [Tree.t]. The root maps to (0, -1). *)
+let index u edges =
+  let idx = Hashtbl.create 16 in
+  Hashtbl.replace idx u (0, -1);
+  List.iter
+    (fun (p, c) ->
+      let d, hop = Hashtbl.find idx p in
+      Hashtbl.replace idx c (d + 1, if p = u then c else hop))
+    edges;
+  idx
+
+(* Deterministic shallow-first order — by (depth, child) — so a stored
+   list replays into a [Tree.t] and exports byte-stably. *)
+let shallow_first u edges =
+  let idx = index u edges in
+  List.map (fun (p, c) -> (fst (Hashtbl.find idx c), c, p)) edges
+  |> List.sort compare
+  |> List.map (fun (_, c, p) -> (p, c))
+
+let ordered_edges tree =
+  Tree.edges tree
+  |> List.map (fun (p, c) -> (Tree.depth tree c, c, p))
+  |> List.sort compare
+  |> List.map (fun (_, c, p) -> (p, c))
+
+(* The spec's tree for [u], shallow-first. Three families emit edges
+   against a per-tree table (cost of the ball); [mis_k] has no emitting
+   core and still goes through its n-sized [Tree.t]. *)
 let tree_of spec ~scratch g u =
   match spec with
-  | Gdy { r; beta } -> Dom_tree.gdy ~scratch g ~r ~beta u
-  | Mis { r } -> Dom_tree.mis ~scratch g ~r u
-  | Gdy_k { k } -> Dom_tree_k.gdy_k ~scratch g ~k u
-  | Mis_k { k } -> Dom_tree_k.mis_k ~scratch g ~k u
+  | Gdy { r; beta } -> shallow_first u (Dom_tree.gdy_edges ~scratch g ~r ~beta u)
+  | Mis { r } -> shallow_first u (Dom_tree.mis_edges ~scratch g ~r u)
+  | Gdy_k { k } -> shallow_first u (Dom_tree_k.gdy_k_edges ~scratch g ~k u)
+  | Mis_k { k } -> ordered_edges (Dom_tree_k.mis_k ~scratch g ~k u)
 
-let tree_valid spec g t =
+(* Is the stored tree of [u] a dominating tree of the spec's family in
+   [g]? Checked over [u]'s ball only (radius r, or 2 for the star
+   families); edge existence is gate (a')'s job. *)
+let tree_ok spec ~scratch g u edges =
+  let idx = index u edges in
+  let depth x = match Hashtbl.find_opt idx x with Some (d, _) -> d | None -> -1 in
+  let first_hop x = snd (Hashtbl.find idx x) in
   match spec with
-  | Gdy { r; beta } -> Dom_tree.is_dominating g ~r ~beta t
-  | Mis { r } -> Dom_tree.is_dominating g ~r ~beta:1 t
-  | Gdy_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:0 t
-  | Mis_k { k } -> Dom_tree_k.is_k_dominating g ~k ~beta:1 t
+  | Gdy { r; beta } -> Dom_tree.dominates ~scratch g ~r ~beta u ~depth
+  | Mis { r } -> Dom_tree.dominates ~scratch g ~r ~beta:1 u ~depth
+  | Gdy_k { k } -> Dom_tree_k.k_dominates ~scratch g ~k ~beta:0 u ~depth ~first_hop
+  | Mis_k { k } -> Dom_tree_k.k_dominates ~scratch g ~k ~beta:1 u ~depth ~first_hop
 
 (* ------------------------------------------------------------------ *)
 (* metrics *)
@@ -72,6 +109,12 @@ let h_latency = Obs.histogram "repair/latency"
 (* ------------------------------------------------------------------ *)
 (* maintained state *)
 
+type diff = {
+  before : Edge_set.t;
+  gained : (int * int) list;
+  lost : (int * int) list;
+}
+
 type t = {
   spec : spec;
   mutable g : Graph.t;
@@ -80,13 +123,15 @@ type t = {
          replaying [Tree.add_edge] in order *)
   counts : (int * int, int) Hashtbl.t;  (* canonical pair -> #owning trees *)
   scratch : Bfs.Scratch.t;  (* constructions + dirty-set traversal *)
-  verify_scratch : Bfs.Scratch.t;  (* second lane for the (alpha, beta) gate *)
+  verify_scratch : Bfs.Scratch.t;  (* second lane for the domination gates *)
   mutable spanner : Edge_set.t;
+  mutable last : diff option;
 }
 
 let graph st = st.g
 let spanner st = st.spanner
 let publish st = (st.g, st.spanner)
+let last_diff st = st.last
 
 let pairs st =
   List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) st.counts [])
@@ -115,23 +160,25 @@ let decr_pair st changed (p, c) =
   | Some n -> Hashtbl.replace st.counts key (n - 1)
   | None -> assert false
 
-(* Tree edges in a deterministic shallow-first order: parents always
-   precede children, so the list replays into a [Tree.t]. *)
-let ordered_edges tree =
-  Tree.edges tree
-  |> List.map (fun (p, c) -> (Tree.depth tree c, c, p))
-  |> List.sort compare
-  |> List.map (fun (_, c, p) -> (p, c))
-
-let stored_tree ~n u edges =
-  let t = Tree.create ~n ~root:u in
-  List.iter (fun (p, c) -> Tree.add_edge t ~parent:p ~child:c) edges;
-  t
+(* Replays a stored list under [Tree.add_edge]'s rules (parent already
+   a member, root never re-parented, one parent per child) against a
+   per-tree table, so validating n trees costs their size, not n^2. *)
+let check_replay u edges =
+  let parent = Hashtbl.create 16 in
+  Hashtbl.replace parent u u;
+  List.iter
+    (fun (p, c) ->
+      if not (Hashtbl.mem parent p) then invalid_arg "Tree.add_edge: parent not in tree";
+      if c = u then invalid_arg "Tree.add_edge: cannot re-parent the root";
+      match Hashtbl.find_opt parent c with
+      | Some p' when p' <> p ->
+          invalid_arg "Tree.add_edge: child already has a different parent"
+      | _ -> Hashtbl.replace parent c p)
+    edges
 
 let recompute st changed g u =
   List.iter (decr_pair st changed) st.tree_edges.(u);
-  let tree = tree_of st.spec ~scratch:st.scratch g u in
-  let edges = ordered_edges tree in
+  let edges = tree_of st.spec ~scratch:st.scratch g u in
   st.tree_edges.(u) <- edges;
   List.iter (incr_pair st changed) edges
 
@@ -152,6 +199,7 @@ let init spec g =
           scratch = Bfs.Scratch.create ();
           verify_scratch = Bfs.Scratch.create ();
           spanner = Edge_set.create g;
+          last = None;
         }
       in
       let changed = Hashtbl.create 16 in
@@ -180,6 +228,7 @@ let restore spec g ~trees =
       scratch = Bfs.Scratch.create ();
       verify_scratch = Bfs.Scratch.create ();
       spanner = Edge_set.create g;
+      last = None;
     }
   in
   let changed = Hashtbl.create 16 in
@@ -192,10 +241,10 @@ let restore spec g ~trees =
               (Printf.sprintf
                  "Repair.restore: tree %d edge (%d,%d) absent from the graph" u p c))
         edges;
-      (* replay through [Tree.add_edge] so a structurally bogus list
-         (orphan child, conflicting parents) is rejected here, not
+      (* replay under [Tree.add_edge]'s rules so a structurally bogus
+         list (orphan child, conflicting parents) is rejected here, not
          discovered as a corrupt spanner later *)
-      (try ignore (stored_tree ~n u edges)
+      (try check_replay u edges
        with Invalid_argument msg ->
          failwith (Printf.sprintf "Repair.restore: tree %d malformed: %s" u msg));
       st.tree_edges.(u) <- edges;
@@ -229,85 +278,55 @@ let pp_outcome fmt o =
 (* Min distance from any seed, bounded by [radius], measured in BOTH
    graphs: a removed edge is only traversable in the old graph, an
    added one only in the new, and a root is affected if the change
-   sits inside its relevant neighborhood in either. *)
+   sits inside its relevant neighborhood in either. Returns the reached
+   vertices in ascending id with their depth — the size of the balls,
+   never of n. *)
 let seed_depths st ~old_g ~new_g ~seeds ~radius =
-  let n = Graph.n new_g in
-  let depth = Array.make n max_int in
+  let depth = Hashtbl.create 64 in
   let scan g =
     List.iter
       (fun w ->
         Bfs.Scratch.run ~radius st.scratch g w;
         Bfs.Scratch.iter_visited st.scratch (fun v ->
             let d = Bfs.Scratch.dist st.scratch v in
-            if d < depth.(v) then depth.(v) <- d))
+            match Hashtbl.find_opt depth v with
+            | Some d0 when d0 <= d -> ()
+            | _ -> Hashtbl.replace depth v d))
       seeds
   in
   scan old_g;
   scan new_g;
-  depth
+  List.sort compare (Hashtbl.fold (fun v d acc -> (v, d) :: acc) depth [])
 
-(* Gate (a): every maintained edge must still exist in the new graph —
-   a retained (clean) tree referencing a vanished edge means the dirty
-   set missed a root. *)
-let gate_edges_exist st g' =
-  try
-    Hashtbl.iter
-      (fun (u, v) _ -> if not (Graph.mem_edge g' u v) then raise Exit)
-      st.counts;
-    true
-  with Exit -> false
+(* The local gate. By Propositions 1 and 5 the union is an (alpha,
+   beta)-remote-spanner as soon as every root's tree is a dominating
+   tree of the spec's family in the new graph, so certifying the delta
+   only takes the trees it can have touched:
+   (a') no tree still uses a removed edge (the only edges that vanish);
+   (b)  the clean trees on the fringe of the dirty region — computed at
+        the spec's {e true} locality radius, so empty by default and
+        exactly the at-risk annulus under an under-estimated
+        [?dirty_radius] — are still dominating;
+   (c)  every recomputed tree is dominating.
+   Roots beyond the fringe see an unchanged ball and keep a tree whose
+   edges all survive, so they need no check. Each test runs over one
+   root's ball through [verify_scratch]. *)
+let gates_pass st g' ~removed ~fringe ~recomputed =
+  Obs.with_span "gates" @@ fun () ->
+  let ok u = tree_ok st.spec ~scratch:st.verify_scratch g' u st.tree_edges.(u) in
+  List.for_all (fun p -> not (Hashtbl.mem st.counts p)) removed
+  && List.for_all (fun u -> Hashtbl.mem recomputed u || ok u) fringe
+  && Hashtbl.fold (fun u () acc -> acc && ok u) recomputed true
 
-(* Gate (b): clean trees on the fringe of the dirty region must still
-   be dominating for their roots in the new graph. The fringe is
-   computed at the spec's {e true} locality radius, so with the
-   default radius it is empty (locality guarantees the property) and
-   with an under-estimated [?dirty_radius] it is exactly the at-risk
-   annulus. *)
-let gate_fringe_valid st g' ~fringe ~recomputed =
-  let n = Graph.n g' in
-  List.for_all
-    (fun u ->
-      recomputed.(u)
-      || tree_valid st.spec g' (stored_tree ~n u st.tree_edges.(u)))
-    fringe
-
-(* Gate (d): direct (alpha, beta) distance check from every dirty
-   source, mirroring [Verify.remote_spanner_violations] (sources
-   restricted to the dirty region). *)
-let gate_alpha_beta st g' ~h_adj ~dirty =
-  match alpha_beta st.spec with
-  | None -> true
-  | Some (alpha, beta) ->
-      let n = Graph.n g' in
-      List.for_all
-        (fun u ->
-          Bfs.Scratch.run st.scratch g' u;
-          Bfs.Scratch.run_augmented st.verify_scratch g' h_adj u;
-          let ok = ref true in
-          for v = 0 to n - 1 do
-            if !ok && v <> u then begin
-              let dg = Bfs.Scratch.dist st.scratch v in
-              if dg > 1 then begin
-                let bound = (alpha *. float_of_int dg) +. beta in
-                let reached = Bfs.Scratch.reached st.verify_scratch v in
-                if
-                  (not reached)
-                  || float_of_int (Bfs.Scratch.dist st.verify_scratch v)
-                     > bound +. 1e-9
-                then ok := false
-              end
-            end
-          done;
-          !ok)
-        dirty
-
-let apply ?dirty_radius st delta =
+let apply_net ?dirty_radius st (net : Delta.net) =
+  if net.Delta.base != st.g then
+    invalid_arg "Repair.apply_net: delta resolved against a different graph";
   Obs.with_span "repair/apply" (fun () ->
       let t0 = Obs.now () in
       Obs.incr c_applies;
       let n = Graph.n st.g in
-      let added, removed = Delta.effect st.g delta in
-      if added = [] && removed = [] then begin
+      let { Delta.added; removed; result = g'; _ } = net in
+      if Delta.is_quiescent net then begin
         (* Quiescent: nothing moved, nothing recomputed, state
            physically untouched. *)
         Obs.add c_saved n;
@@ -315,74 +334,32 @@ let apply ?dirty_radius st delta =
         { dirty = 0; rebuilt = 0; escalations = 0; level = Local; edges_changed = 0 }
       end
       else begin
-        (* Build the new graph straight from the net effect: [added]
-           and [removed] are sorted canonical lists, and [Graph.edges]
-           is in the same order, so one filter + merge keeps the edge
-           list sorted without re-deriving the delta's edge tables. *)
-        let g' =
-          let gone = Hashtbl.create 16 in
-          List.iter (fun p -> Hashtbl.replace gone p ()) removed;
-          let kept =
-            Array.to_list (Graph.edges st.g)
-            |> List.filter (fun p -> not (Hashtbl.mem gone p))
-          in
-          Graph.make ~n (List.merge compare kept added)
-        in
         let seeds = Delta.touched ~added ~removed in
         let r_spec = radius st.spec in
         let r_used = Option.value dirty_radius ~default:r_spec in
         let r_check = max r_used r_spec in
-        let depth =
+        let region =
           Obs.with_span "dirty_set" (fun () ->
               seed_depths st ~old_g:st.g ~new_g:g' ~seeds ~radius:r_check)
         in
-        let dirty = ref [] and fringe = ref [] in
-        for v = n - 1 downto 0 do
-          if depth.(v) <= r_used then dirty := v :: !dirty
-          else if depth.(v) <= r_check then fringe := v :: !fringe
-        done;
-        let dirty = !dirty and fringe = !fringe in
+        let dirty = List.filter_map (fun (v, d) -> if d <= r_used then Some v else None) region in
+        let fringe = List.filter_map (fun (v, d) -> if d > r_used then Some v else None) region in
         Obs.add c_dirty (List.length dirty);
         let changed = Hashtbl.create 64 in
-        let recomputed = Array.make n false in
+        let recomputed = Hashtbl.create 64 in
         let rebuild us =
           Obs.with_span "rebuild" @@ fun () ->
           List.iter
             (fun u ->
-              if not recomputed.(u) then begin
-                recomputed.(u) <- true;
+              if not (Hashtbl.mem recomputed u) then begin
+                Hashtbl.replace recomputed u ();
                 recompute st changed g' u
               end)
             us
         in
         rebuild dirty;
         let escalations = ref 0 in
-        let gates_pass () =
-          Obs.with_span "gates" @@ fun () ->
-          gate_edges_exist st g'
-          &&
-          let h_adj =
-            (* adjacency straight off the refcounts: gate (a) just
-               certified every pair as a [g'] edge *)
-            let deg = Array.make n 0 in
-            Hashtbl.iter
-              (fun (u, v) _ ->
-                deg.(u) <- deg.(u) + 1;
-                deg.(v) <- deg.(v) + 1)
-              st.counts;
-            let adj = Array.init n (fun u -> Array.make deg.(u) 0) in
-            Hashtbl.iter
-              (fun (u, v) _ ->
-                deg.(u) <- deg.(u) - 1;
-                adj.(u).(deg.(u)) <- v;
-                deg.(v) <- deg.(v) - 1;
-                adj.(v).(deg.(v)) <- u)
-              st.counts;
-            adj
-          in
-          gate_fringe_valid st g' ~fringe ~recomputed
-          && gate_alpha_beta st g' ~h_adj ~dirty
-        in
+        let gates_pass () = gates_pass st g' ~removed ~fringe ~recomputed in
         let level =
           if gates_pass () then Local
           else begin
@@ -391,14 +368,8 @@ let apply ?dirty_radius st delta =
             incr escalations;
             (* Widened rung: 2-hop closure of the dirty region, again
                in both graphs. *)
-            let closure =
-              seed_depths st ~old_g:st.g ~new_g:g' ~seeds:dirty ~radius:2
-            in
-            let widened = ref [] in
-            for v = n - 1 downto 0 do
-              if closure.(v) <= 2 then widened := v :: !widened
-            done;
-            rebuild !widened;
+            rebuild
+              (List.map fst (seed_depths st ~old_g:st.g ~new_g:g' ~seeds:dirty ~radius:2));
             if gates_pass () then Widened
             else begin
               Obs.incr c_gate_failures;
@@ -411,28 +382,48 @@ let apply ?dirty_radius st delta =
             end
           end
         in
-        let rebuilt_total =
-          Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 recomputed
-        in
+        let rebuilt_total = Hashtbl.length recomputed in
         Obs.add c_rebuilt rebuilt_total;
         Obs.add c_saved (n - rebuilt_total);
-        st.g <- g';
-        st.spanner <- materialize st g';
-        let edges_changed =
-          Hashtbl.fold
-            (fun p before acc ->
-              if before <> Hashtbl.mem st.counts p then acc + 1 else acc)
-            changed 0
+        (* the spanner follows the host patch by diff: surviving bits
+           shift with the edge ids, then only the pairs whose refcount
+           crossed zero flip *)
+        let sp, diff =
+          Obs.with_span "spanner" @@ fun () ->
+          let sp = Edge_set.rehost st.spanner g' ~added ~removed in
+          let gained = ref [] and lost = ref [] in
+          Hashtbl.iter
+            (fun ((u, v) as p) was ->
+              let now = Hashtbl.mem st.counts p in
+              if now && not was then begin
+                Edge_set.add sp u v;
+                gained := p :: !gained
+              end
+              else if was && not now then begin
+                Edge_set.remove sp u v;
+                lost := p :: !lost
+              end)
+            changed;
+          ( sp,
+            { before = st.spanner; gained = List.sort compare !gained;
+              lost = List.sort compare !lost } )
         in
+        st.g <- g';
+        st.spanner <- sp;
+        st.last <- Some diff;
         Obs.observe h_latency ((Obs.now () -. t0) *. 1000.0);
         {
           dirty = List.length dirty;
           rebuilt = rebuilt_total;
           escalations = !escalations;
           level;
-          edges_changed;
+          edges_changed = List.length diff.gained + List.length diff.lost;
         }
       end)
+
+let apply ?dirty_radius st delta =
+  let net = Obs.with_span "repair/resolve" (fun () -> Delta.net st.g delta) in
+  apply_net ?dirty_radius st net
 
 let incremental_target spec =
   let state = ref None in

@@ -17,11 +17,26 @@
     + splicing the new trees into the maintained edge multiset —
       per-edge reference counts over canonical pairs, so an edge leaves
       the spanner exactly when its last contributing tree drops it;
-    + verifying the repair — every retained tree edge must survive in
-      the new graph, the clean trees on the dirty fringe must still be
-      dominating, and the (alpha, beta) stretch bound must hold from
-      every dirty source — and {e escalating} when verification fails:
-      dirty set -> 2-hop closure -> full rebuild (the ladder).
+    + carrying the spanner edge set over to the patched host graph by
+      diff ({!Rs_graph.Edge_set.rehost}, then flipping the pairs whose
+      refcount crossed zero) instead of rebuilding it;
+    + verifying the repair with a {e local} gate — no retained tree
+      uses a removed edge, the clean trees on the dirty fringe are
+      still dominating, and so is every recomputed tree, each checked
+      over its own root's ball — and {e escalating} when verification
+      fails: dirty set -> 2-hop closure -> full rebuild (the ladder).
+      Propositions 1 and 5 make the gate sufficient: a union in which
+      every root has a dominating tree is an (alpha, beta)-remote-
+      spanner, and roots beyond the fringe keep an unchanged ball and
+      a tree whose edges all survive. The global (alpha, beta) check
+      ({!Rs_core.Verify}) stays off the write path: it runs in
+      [Store.recover ~verify:true], [rspan heal]/[recover] verification
+      and every test and chaos gate.
+
+    Every per-delta step costs O(|delta| + the dirty balls), plus the
+    flat O(n + m) copies of {!Rs_graph.Graph.patch} and
+    {!Rs_graph.Edge_set.rehost}; nothing sorts, hashes or lists the
+    whole graph or spanner.
 
     With the correct locality radius the ladder never escalates and
     the repaired spanner is identical, root tree by root tree, to a
@@ -50,10 +65,11 @@ val radius : spec -> int
     the new graph) provably computes the same tree. *)
 
 val alpha_beta : spec -> (float * float) option
-(** The (alpha, beta) remote-spanner guarantee of the union, used by
-    the scoped verification gate; [None] for parameterizations the
-    paper proves no distance bound for (e.g. [Gdy] with [beta >= 2] —
-    those repairs are still gated on tree domination). *)
+(** The (alpha, beta) remote-spanner guarantee of the union, for the
+    global {!Rs_core.Verify} check recovery and the test harnesses run
+    off the write path; [None] for parameterizations the paper proves
+    no distance bound for (e.g. [Gdy] with [beta >= 2] — repairs of
+    every spec are gated on tree domination alone). *)
 
 val build : spec -> Graph.t -> Edge_set.t
 (** From-scratch union of the spec's trees over all roots — the
@@ -81,8 +97,8 @@ val pairs : t -> (int * int) list
 
 val publish : t -> Graph.t * Edge_set.t
 (** The current [(graph, spanner)] pair as an immutable snapshot:
-    {!apply} replaces both values wholesale (a fresh graph and a fresh
-    edge set are built for every non-quiescent delta) and never
+    {!apply} replaces both values wholesale (a freshly patched graph
+    and a fresh edge set for every non-quiescent delta) and never
     mutates a previously returned one, so the pair may be handed to
     concurrent reader domains and stays valid — frozen at this
     generation — across later applies. This is the publication seam
@@ -123,15 +139,35 @@ type outcome = {
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val apply : ?dirty_radius:int -> t -> Delta.t -> outcome
-(** Apply one delta batch and repair the spanner. A delta with empty
-    net effect recomputes nothing and leaves both {!graph} and
-    {!spanner} physically untouched. Records [repair/*] counters
-    (dirty nodes, trees rebuilt, escalations, saved BFS runs) and the
+(** Apply one delta batch and repair the spanner: {!Delta.net} against
+    {!graph}, then {!apply_net}. A delta with empty net effect
+    recomputes nothing and leaves both {!graph} and {!spanner}
+    physically untouched. Records [repair/*] counters (dirty nodes,
+    trees rebuilt, escalations, saved BFS runs) and the
     [repair/latency] histogram (milliseconds per apply).
 
     [?dirty_radius] overrides the spec's locality radius — a testing
-    and experimentation hook: an under-estimate forces the verification
-    gate to fail and exercises the escalation ladder. *)
+    and experimentation hook: an under-estimate makes the local gate
+    fail and exercises the escalation ladder. *)
+
+val apply_net : ?dirty_radius:int -> t -> Delta.net -> outcome
+(** {!apply} for a delta already resolved against {!graph} (its [base]
+    must be that very value — raises [Invalid_argument] otherwise).
+    Afterwards {!graph} is the net's [result], so a store holding
+    several spanners over one graph resolves and patches each write
+    once and all of them share the patched graph. *)
+
+type diff = {
+  before : Edge_set.t;  (** the spanner the apply started from *)
+  gained : (int * int) list;  (** pairs that entered, sorted canonical *)
+  lost : (int * int) list;  (** pairs that left, sorted canonical *)
+}
+
+val last_diff : t -> diff option
+(** The spanner change made by the most recent non-quiescent apply
+    ([None] right after {!init}/{!restore}). A consumer that derived
+    something from [before] can update it by this diff instead of
+    recomputing it from {!spanner} — how the service publishes views. *)
 
 val incremental_target : spec -> Graph.t -> (int * int) list
 (** A stateful maintainer for {!Rs_distributed.Periodic.simulate}'s

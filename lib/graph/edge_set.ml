@@ -60,12 +60,83 @@ let union_into dst src =
     if get_bit src id then add_id dst id
   done
 
-let iter f s =
-  for id = 0 to Graph.m s.g - 1 do
-    if get_bit s id then
-      let u, v = Graph.edge s.g id in
-      f u v
+(* [len] bits from [src] at bit [soff] to [dst] at bit [doff]; whole
+   destination bytes are assembled from two source bytes, so a shifted
+   run costs O(len / 8). [dst] must be fresh past [doff] (whole bytes
+   are overwritten). *)
+let blit_bits src soff dst doff len =
+  let get pos = Char.code (Bytes.get src (pos lsr 3)) land (1 lsl (pos land 7)) <> 0 in
+  let set pos =
+    let b = pos lsr 3 in
+    Bytes.set dst b (Char.chr (Char.code (Bytes.get dst b) lor (1 lsl (pos land 7))))
+  in
+  let s = ref soff and d = ref doff and len = ref len in
+  let one () =
+    if get !s then set !d;
+    incr s;
+    incr d;
+    decr len
+  in
+  while !len > 0 && !d land 7 <> 0 do
+    one ()
+  done;
+  let last = Bytes.length src - 1 in
+  while !len >= 8 do
+    let b = !s lsr 3 and o = !s land 7 in
+    let lo = Char.code (Bytes.get src b) lsr o in
+    let hi = if o = 0 || b >= last then 0 else Char.code (Bytes.get src (b + 1)) lsl (8 - o) in
+    Bytes.set dst (!d lsr 3) (Char.chr ((lo lor hi) land 0xff));
+    s := !s + 8;
+    d := !d + 8;
+    len := !len - 8
+  done;
+  while !len > 0 do
+    one ()
   done
+
+let rehost s g' ~added ~removed =
+  let g = s.g in
+  let rem = Array.of_list (List.map (fun (u, v) -> Graph.edge_id g u v) removed) in
+  let add = Array.of_list (List.map (fun (u, v) -> Graph.edge_id g' u v) added) in
+  let m = Graph.m g and m' = Graph.m g' in
+  if m' <> m + Array.length add - Array.length rem then
+    invalid_arg "Edge_set.rehost: host is not the patched graph";
+  let t = { g = g'; bits = Bytes.make (nbytes m') '\000'; card = s.card } in
+  (* walk both id spaces: runs between change points keep their bits,
+     an added id is skipped on the new side (starts clear), a removed
+     one on the old side (its bit, if set, leaves the count) *)
+  let i = ref 0 and j = ref 0 and ai = ref 0 and ri = ref 0 in
+  let run len =
+    blit_bits s.bits !i t.bits !j len;
+    i := !i + len;
+    j := !j + len
+  in
+  while !ai < Array.length add || !ri < Array.length rem do
+    let to_add = if !ai < Array.length add then add.(!ai) - !j else max_int in
+    let to_rem = if !ri < Array.length rem then rem.(!ri) - !i else max_int in
+    run (min to_add to_rem);
+    if to_add <= to_rem then begin
+      incr j;
+      incr ai
+    end
+    else begin
+      if get_bit s !i then t.card <- t.card - 1;
+      incr i;
+      incr ri
+    end
+  done;
+  run (m - !i);
+  t
+
+(* walks the host's CSR in canonical order, so a patched host never
+   has to materialize its boxed edge array *)
+let iter f s =
+  let id = ref 0 in
+  Graph.iter_edges
+    (fun u v ->
+      if get_bit s !id then f u v;
+      incr id)
+    s.g
 
 let to_list s =
   let acc = ref [] in
@@ -92,7 +163,15 @@ let to_adjacency s =
   Array.iter (fun a -> Array.sort Int.compare a) adj;
   adj
 
-let to_graph s = Graph.make ~n:(Graph.n s.g) (to_list s)
+(* members come out in id order, which is canonical order *)
+let to_graph s =
+  let es = Array.make s.card (0, 0) and k = ref 0 in
+  iter
+    (fun u v ->
+      es.(!k) <- (u, v);
+      incr k)
+    s;
+  Graph.of_canonical ~validate:false ~n:(Graph.n s.g) es
 
 let subset a b =
   if Graph.m a.g <> Graph.m b.g then invalid_arg "Edge_set.subset: different hosts";

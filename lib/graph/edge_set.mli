@@ -39,6 +39,16 @@ val union_into : t -> t -> unit
 (** [union_into dst src] adds all edges of [src] into [dst]. Both must
     share the same host graph. *)
 
+val rehost :
+  t -> Graph.t -> added:(int * int) list -> removed:(int * int) list -> t
+(** [rehost s g' ~added ~removed] is [s] carried over to
+    [g' = Graph.patch (host s) ~added ~removed]: a fresh set holding
+    every member of [s] except the [removed] pairs, with the [added]
+    host edges absent. The bits move in runs through the patch's
+    monotone id shift — O(m / 8), no per-member work — so a maintained
+    spanner follows its host graph without being rebuilt. [s] is left
+    untouched. *)
+
 val iter : (int -> int -> unit) -> t -> unit
 (** Iterate over member edges as canonical [(u, v)], [u < v]. *)
 

@@ -1,21 +1,29 @@
 (* Flat CSR core: [off] has n+1 offsets into [nbr], which packs every
-   vertex's sorted neighbor list; [nbr_eid] carries the canonical edge
-   id in lock-step with [nbr]. Adjacency queries are cache-friendly
-   array scans and edge probes are binary searches — no hash tables on
-   the hot path. [adj] keeps the historical per-vertex arrays alive for
-   the [neighbors] accessor; it is built on first demand because it
-   duplicates [nbr] (at n = 10^6 the copies cost hundreds of MB) and
-   the hot paths all run over the CSR directly. The memoization is an
-   [Atomic] publish rather than [Lazy.t] because parallel constructions
-   probe [neighbors] from several domains and [Lazy.force] is not
-   domain-safe (concurrent force can raise [Lazy.Undefined]). *)
+   vertex's sorted neighbor list. [eoff.(u)] counts the edges whose
+   smaller endpoint is below [u]: edge ids are lexicographic, so the
+   forward neighbors of [u] (those above it, which sit at the end of
+   its sorted range) carry ids [eoff.(u) .. eoff.(u+1) - 1] in order,
+   and an edge probe is one binary search plus arithmetic — no hash
+   tables on the hot path and no per-slot id array to rewrite when
+   {!patch} shifts the ids. [adj] keeps the historical per-vertex
+   arrays alive for the [neighbors] accessor; it is built on first
+   demand because it duplicates [nbr] (at n = 10^6 the copies cost
+   hundreds of MB) and the hot paths all run over the CSR directly.
+   [edges], the boxed canonical pair array, is memoized the same way:
+   constructions that sorted one keep it, a patched graph builds it
+   only if someone asks (the write path never does). The memoization
+   is an [Atomic] publish rather than [Lazy.t] because parallel
+   constructions probe [neighbors] from several domains and
+   [Lazy.force] is not domain-safe (concurrent force can raise
+   [Lazy.Undefined]). *)
 type t = {
   n : int;
+  m : int;
   off : int array; (* length n+1 *)
   nbr : int array; (* length 2m, sorted within each vertex's range *)
-  nbr_eid : int array; (* edge id of nbr.(i), aligned with nbr *)
+  eoff : int array; (* length n+1: #edges (a, b), a < b, with a < u *)
   adj : int array array option Atomic.t;
-  edges : (int * int) array;
+  edges : (int * int) array option Atomic.t;
 }
 
 let canonical u v = if u < v then (u, v) else (v, u)
@@ -27,57 +35,35 @@ let cmp_edge (u1, v1) (u2, v2) =
 (* CSR fill from an owned, canonical ([u < v]), lex-sorted, duplicate-free
    edge array. Shared by the generic [build] path (which sorts and
    dedups first) and [of_canonical] (whose input is validated to
-   already be in this form, so a binary snapshot load pays no sort). *)
+   already be in this form, so a binary snapshot load pays no sort).
+   Lex order also leaves every range sorted: [u]'s backward neighbors
+   (edges (w, u), w < u) are all filled before its forward ones, each
+   group in increasing order. *)
 let fill_csr n edges =
   let m = Array.length edges in
   let deg = Array.make n 0 in
+  let eoff = Array.make (n + 1) 0 in
   Array.iter
     (fun (u, v) ->
       deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
+      deg.(v) <- deg.(v) + 1;
+      eoff.(u + 1) <- eoff.(u + 1) + 1)
     edges;
   let off = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + deg.(u)
+    off.(u + 1) <- off.(u) + deg.(u);
+    eoff.(u + 1) <- eoff.(u) + eoff.(u + 1)
   done;
   let nbr = Array.make (2 * m) 0 in
-  let nbr_eid = Array.make (2 * m) 0 in
   let fill = Array.copy off in
-  Array.iteri
-    (fun id (u, v) ->
+  Array.iter
+    (fun (u, v) ->
       nbr.(fill.(u)) <- v;
-      nbr_eid.(fill.(u)) <- id;
       fill.(u) <- fill.(u) + 1;
       nbr.(fill.(v)) <- u;
-      nbr_eid.(fill.(v)) <- id;
       fill.(v) <- fill.(v) + 1)
     edges;
-  (* per-vertex ranges must be sorted by neighbor id, carrying the edge
-     ids along; edges arrive lex-sorted so each range is a merge of two
-     already-sorted streams — a plain paired sort keeps it simple *)
-  let idx = Array.make (Array.fold_left max 0 deg) 0 in
-  let tmp_n = Array.make (Array.length idx) 0 in
-  let tmp_e = Array.make (Array.length idx) 0 in
-  for u = 0 to n - 1 do
-    let lo = off.(u) and d = deg.(u) in
-    let sorted = ref true in
-    for i = lo + 1 to lo + d - 1 do
-      if nbr.(i - 1) > nbr.(i) then sorted := false
-    done;
-    if not !sorted then begin
-      let sub = Array.sub idx 0 d in
-      Array.iteri (fun i _ -> sub.(i) <- lo + i) sub;
-      Array.sort (fun a b -> Int.compare nbr.(a) nbr.(b)) sub;
-      Array.iteri
-        (fun i p ->
-          tmp_n.(i) <- nbr.(p);
-          tmp_e.(i) <- nbr_eid.(p))
-        sub;
-      Array.blit tmp_n 0 nbr lo d;
-      Array.blit tmp_e 0 nbr_eid lo d
-    end
-  done;
-  { n; off; nbr; nbr_eid; adj = Atomic.make None; edges }
+  { n; m; off; nbr; eoff; adj = Atomic.make None; edges = Atomic.make (Some edges) }
 
 let build n edge_list =
   List.iter
@@ -134,7 +120,7 @@ let of_canonical ?(validate = true) ~n edges =
   fill_csr n (Array.copy edges)
 
 let n g = g.n
-let m g = Array.length g.edges
+let m g = g.m
 (* Once published the adjacency never changes; if two domains race on
    the first access both build a copy and CAS picks the winner — the
    loser's copy is garbage, which is safe, just wasted work. Callers
@@ -190,17 +176,140 @@ let nbr_slot g u v =
 
 let mem_edge g u v = u <> v && u >= 0 && u < g.n && v >= 0 && v < g.n && nbr_slot g u v >= 0
 
+(* id of the forward edge in [u]'s slot [slot] (its neighbor is
+   above [u]): ranges end with the forward neighbors, in id order *)
+let forward_id g u slot = g.eoff.(u + 1) - (g.off.(u + 1) - slot)
+
 let edge_id g u v =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then raise Not_found;
+  let u, v = if u < v then (u, v) else (v, u) in
   let slot = nbr_slot g u v in
-  if slot < 0 then raise Not_found else g.nbr_eid.(slot)
+  if slot < 0 then raise Not_found else forward_id g u slot
 
-let edge g id = g.edges.(id)
-let edges g = g.edges
+(* Strictly increasing canonical pairs, each [present] or absent in [g]
+   as the caller demands; returned as an array. *)
+let patch_side g what ~present es =
+  let a = Array.of_list es in
+  Array.iteri
+    (fun i (u, v) ->
+      if u < 0 || v >= g.n || u >= v then
+        invalid_arg (Printf.sprintf "Graph.patch: %s edge (%d,%d) not canonical" what u v);
+      if i > 0 && cmp_edge a.(i - 1) (u, v) >= 0 then
+        invalid_arg (Printf.sprintf "Graph.patch: %s edges not strictly sorted at (%d,%d)" what u v);
+      if (nbr_slot g u v >= 0) <> present then
+        invalid_arg
+          (Printf.sprintf "Graph.patch: %s edge (%d,%d) %s" what u v
+             (if present then "absent" else "already present")))
+    a;
+  a
 
-let iter_edges f g = Array.iter (fun (u, v) -> f u v) g.edges
+(* One linear pass over the old layout: [nbr] is copied in runs between
+   the touched vertices, [off]/[eoff] get a running shift, and only the
+   touched vertices' ranges are merged entry by entry. Nothing is
+   sorted except the O(|delta|) edit list, and the boxed edge array is
+   left to its memo. *)
+let patch g ~added ~removed =
+  let add = patch_side g "added" ~present:false added in
+  let rem = patch_side g "removed" ~present:true removed in
+  let n = g.n and m = g.m in
+  let ka = Array.length add and kr = Array.length rem in
+  if ka = 0 && kr = 0 then g
+  else begin
+    let m' = m + ka - kr in
+    (* per-vertex edits (vertex, neighbor, +1 add / -1 remove), sorted *)
+    let edits =
+      let e = Array.make (2 * (ka + kr)) (0, 0, 0) and k = ref 0 in
+      let push (u, v) sign =
+        e.(!k) <- (u, v, sign);
+        e.(!k + 1) <- (v, u, sign);
+        k := !k + 2
+      in
+      Array.iter (fun p -> push p 1) add;
+      Array.iter (fun p -> push p (-1)) rem;
+      Array.sort
+        (fun (a, b, _) (c, d, _) ->
+          let x = Int.compare a c in
+          if x <> 0 then x else Int.compare b d)
+        e;
+      e
+    in
+    let ne = Array.length edits in
+    let off = Array.make (n + 1) 0 and eoff = Array.make (n + 1) 0 in
+    let sd = ref 0 and se = ref 0 and k = ref 0 in
+    for u = 0 to n do
+      off.(u) <- g.off.(u) + !sd;
+      eoff.(u) <- g.eoff.(u) + !se;
+      while !k < ne && (let w, _, _ = edits.(!k) in w = u) do
+        let _, v, sign = edits.(!k) in
+        sd := !sd + sign;
+        if v > u then se := !se + sign;
+        incr k
+      done
+    done;
+    let nbr = Array.make (2 * m') 0 in
+    let copy src_pos dst_pos len = Array.blit g.nbr src_pos nbr dst_pos len in
+    let k = ref 0 and next = ref 0 (* first vertex not yet copied *) in
+    while !k < ne do
+      let u, _, _ = edits.(!k) in
+      (* untouched vertices [next, u) keep their ranges verbatim *)
+      copy g.off.(!next) off.(!next) (g.off.(u) - g.off.(!next));
+      let src = ref g.off.(u) and dst = ref off.(u) in
+      let stop = g.off.(u + 1) in
+      let copy_below v =
+        while !src < stop && g.nbr.(!src) < v do
+          nbr.(!dst) <- g.nbr.(!src);
+          incr src;
+          incr dst
+        done
+      in
+      while !k < ne && (let w, _, _ = edits.(!k) in w = u) do
+        let _, v, sign = edits.(!k) in
+        copy_below v;
+        if sign > 0 then begin
+          nbr.(!dst) <- v;
+          incr dst
+        end
+        else incr src;
+        incr k
+      done;
+      copy_below max_int;
+      assert (!dst = off.(u + 1));
+      next := u + 1
+    done;
+    copy g.off.(!next) off.(!next) (g.off.(n) - g.off.(!next));
+    { n; m = m'; off; nbr; eoff; adj = Atomic.make None; edges = Atomic.make None }
+  end
 
-let fold_edges f acc g = Array.fold_left (fun acc (u, v) -> f acc u v) acc g.edges
+(* [u]'s forward neighbors (those above [u]) close its range, in id
+   order: walking them vertex by vertex is the canonical edge order *)
+let iter_edges f g =
+  for u = 0 to g.n - 1 do
+    let stop = g.off.(u + 1) in
+    for i = stop - (g.eoff.(u + 1) - g.eoff.(u)) to stop - 1 do
+      f u g.nbr.(i)
+    done
+  done
+
+let fold_edges f acc g =
+  let acc = ref acc in
+  iter_edges (fun u v -> acc := f !acc u v) g;
+  !acc
+
+(* same CAS-memo as [adjacency] *)
+let edges g =
+  match Atomic.get g.edges with
+  | Some a -> a
+  | None ->
+      let a = Array.make g.m (0, 0) and k = ref 0 in
+      iter_edges
+        (fun u v ->
+          a.(!k) <- (u, v);
+          incr k)
+        g;
+      if Atomic.compare_and_set g.edges None (Some a) then a
+      else Option.get (Atomic.get g.edges)
+
+let edge g id = (edges g).(id)
 
 let iter_vertices f g =
   for u = 0 to g.n - 1 do
@@ -239,18 +348,16 @@ let remove_vertex g u =
   make ~n:g.n es
 
 let union_edges g es =
-  make ~n:g.n (List.rev_append es (Array.to_list g.edges))
+  make ~n:g.n (List.rev_append es (Array.to_list (edges g)))
 
+(* the CSR of an edge set is unique, so equal graphs have equal arrays *)
 let equal g1 g2 =
-  g1.n = g2.n
-  && Array.length g1.edges = Array.length g2.edges
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i e -> if cmp_edge e g2.edges.(i) <> 0 then ok := false)
-         g1.edges;
-       !ok
-     end
+  let same (a : int array) b =
+    let ok = ref true in
+    Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
+    !ok
+  in
+  g1 == g2 || (g1.n = g2.n && g1.m = g2.m && same g1.off g2.off && same g1.nbr g2.nbr)
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph n=%d m=%d@,@[<hov>" g.n (m g);

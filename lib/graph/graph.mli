@@ -7,10 +7,11 @@
     edges are merged at construction.
 
     Internally the adjacency is a flat CSR layout (an [n+1] offset
-    array into one packed neighbor array, with edge ids carried in
-    lock-step), so neighbor iteration is a contiguous scan and
-    adjacency/edge-id probes are binary searches over a vertex's sorted
-    range — no hashing on any hot path (see docs/PERFORMANCE.md).
+    array into one packed neighbor array, plus per-vertex prefix counts
+    of forward edges that turn a slot into its edge id), so neighbor
+    iteration is a contiguous scan and adjacency/edge-id probes are
+    binary searches over a vertex's sorted range — no hashing on any
+    hot path (see docs/PERFORMANCE.md).
 
     This is the substrate every remote-spanner algorithm operates on. *)
 
@@ -34,6 +35,18 @@ val of_canonical : ?validate:bool -> n:int -> (int * int) array -> t
     array is not retained. [~validate:false] (default [true]) skips
     the contract check — only for callers that constructed the array
     themselves; feeding it unchecked external input is undefined. *)
+
+val patch : t -> added:(int * int) list -> removed:(int * int) list -> t
+(** [patch g ~added ~removed] is [g] with [removed] deleted and [added]
+    inserted — equal, array for array, to [make] of the resulting edge
+    list, but built by one linear merge over [g]'s layout instead of a
+    sort: O(n + m) flat copying plus O(|delta| log |delta|) for the
+    edits themselves. Both lists must be canonical ([u < v]), strictly
+    sorted, [added] absent from [g] and [removed] present in it
+    (raises [Invalid_argument] otherwise — {!Rs_dynamic.Delta}'s net
+    effect is in exactly this form). Edge ids above a change point
+    shift by the number of edges added minus removed below it. Returns
+    [g] itself when both lists are empty. *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -83,10 +96,15 @@ val edge_id : t -> int -> int -> int
     Raises [Not_found] if absent. *)
 
 val edge : t -> int -> int * int
-(** [edge g id] is the canonical [(u, v)] pair, [u < v], of edge [id]. *)
+(** [edge g id] is the canonical [(u, v)] pair, [u < v], of edge [id]
+    (through {!edges}). *)
 
 val edges : t -> (int * int) array
-(** All edges in canonical order. Owned by the graph; do not mutate. *)
+(** All edges in canonical order. Owned by the graph; do not mutate.
+    Graphs built by {!make}/{!of_canonical} keep the array they sorted;
+    a {!patch}ed graph builds it on first use (O(m), memoized
+    domain-safely like {!neighbors}), so the write path never pays for
+    it. {!iter_edges}/{!fold_edges} never need it. *)
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 (** [iter_edges f g] calls [f u v] with [u < v] for every edge. *)

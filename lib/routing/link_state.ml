@@ -2,10 +2,12 @@ open Rs_graph
 
 type t = { g : Graph.t; h : Edge_set.t; h_adj : int array array }
 
-let make g h =
-  if not (Graph.equal (Edge_set.host h) g) then
+let make ?h_adj g h =
+  let host = Edge_set.host h in
+  if not (host == g || Graph.equal host g) then
     invalid_arg "Link_state.make: edge set over a different graph";
-  { g; h; h_adj = Edge_set.to_adjacency h }
+  let h_adj = match h_adj with Some a -> a | None -> Edge_set.to_adjacency h in
+  { g; h; h_adj }
 
 let graph t = t.g
 

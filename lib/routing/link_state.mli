@@ -13,8 +13,12 @@ open Rs_graph
 
 type t
 
-val make : Graph.t -> Edge_set.t -> t
-(** A routing domain: real topology [g], advertised sub-graph [h]. *)
+val make : ?h_adj:int array array -> Graph.t -> Edge_set.t -> t
+(** A routing domain: real topology [g], advertised sub-graph [h]. The
+    host check is free when [h]'s host is [g] itself (the structural
+    comparison only runs otherwise). [?h_adj] supplies [h]'s sorted
+    adjacency when the caller already has it (it must equal
+    [Edge_set.to_adjacency h]; it is shared, not copied). *)
 
 val graph : t -> Graph.t
 

@@ -366,8 +366,15 @@ let queue_saturation ~rand ~specs ~n ~batches:_ ~dir:_ =
   let svc = Service.start cfg (Service.Ephemeral { specs; g = g0 }) in
   let cl = spawn_clients svc ~seed:(43 * n) ~n ~count:2 in
   let floods = 300 in
-  let accepted = ref 0 and rejected = ref 0 in
-  for _ = 1 to floods do
+  let accepted = ref 0 and rejected = ref 0 and offered = ref 0 in
+  (* the breaker opens — and stale reads exist — only after several
+     over-budget batches, so the flood lasts until the writer has
+     drained a few of them, however cheap a rejected [offer] is *)
+  let t_end = Unix.gettimeofday () +. 10.0 in
+  while
+    !offered < floods || (!accepted < 4 * capacity && Unix.gettimeofday () < t_end)
+  do
+    incr offered;
     (* ops generated against g0 stay valid whatever the live graph is *)
     match Service.offer svc (random_delta rand g0) with
     | Ok () -> incr accepted

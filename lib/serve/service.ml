@@ -83,17 +83,18 @@ let b_append ?dirty_radius ~repair b delta =
   | B_eph e -> (
       if repair && e.e_stale then
         invalid_arg "Service: spanner states are stale (rebuild first)";
-      match Delta.effect e.e_g delta with
-      | [], [] -> []
-      | _ ->
-          e.e_seq <- e.e_seq + 1;
-          e.e_g <- Delta.apply e.e_g delta;
-          if repair then
-            List.map (fun (_, st) -> Repair.apply ?dirty_radius st delta) e.e_states
-          else begin
-            e.e_stale <- true;
-            []
-          end)
+      let net = Delta.net e.e_g delta in
+      if Delta.is_quiescent net then []
+      else begin
+        e.e_seq <- e.e_seq + 1;
+        e.e_g <- net.Delta.result;
+        if repair then
+          List.map (fun (_, st) -> Repair.apply_net ?dirty_radius st net) e.e_states
+        else begin
+          e.e_stale <- true;
+          []
+        end
+      end)
 
 let b_rebuild = function
   | B_dur s -> Store.rebuild s
@@ -117,13 +118,50 @@ type view = {
   v_strategies : strategy_view array;
 }
 
-let make_view b =
+let row graph u =
+  let off, nbr = Graph.csr graph in
+  Array.sub nbr off.(u) (off.(u + 1) - off.(u))
+
+(* One strategy's view. When the previous view was built from exactly
+   the spanner the last repair started from, it is updated by that
+   repair's diff: the spanner graph is patched and only the adjacency
+   rows of the diff's endpoints are rebuilt, the rest shared. Anything
+   else (first view, rebuild, failover) builds from scratch — still
+   without sorting, since the spanner's members come out in canonical
+   order. The adjacency is built once and shared with the link-state
+   router. *)
+let strategy_view prev (spec, st) =
+  let g, sp = Repair.publish st in
+  let make graph adj =
+    { sv_spec = spec; sv_spanner = sp; sv_adj = adj; sv_graph = graph;
+      sv_ls = Link_state.make ~h_adj:adj g sp }
+  in
+  match (prev, Repair.last_diff st) with
+  | Some p, _ when p.sv_spec = spec && p.sv_spanner == sp -> p
+  | Some p, Some d when p.sv_spec = spec && d.Repair.before == p.sv_spanner ->
+      let graph = Graph.patch p.sv_graph ~added:d.Repair.gained ~removed:d.Repair.lost in
+      let adj = Array.copy p.sv_adj in
+      let redo (u, v) =
+        adj.(u) <- row graph u;
+        adj.(v) <- row graph v
+      in
+      List.iter redo d.Repair.gained;
+      List.iter redo d.Repair.lost;
+      make graph adj
+  | _ ->
+      let graph = Edge_set.to_graph sp in
+      make graph (Array.init (Graph.n graph) (row graph))
+
+let make_view ?prev b =
   let strategies =
     b_states b
-    |> List.map (fun (spec, st) ->
-           let g, sp = Repair.publish st in
-           { sv_spec = spec; sv_spanner = sp; sv_adj = Edge_set.to_adjacency sp;
-             sv_graph = Edge_set.to_graph sp; sv_ls = Link_state.make g sp })
+    |> List.mapi (fun i state ->
+           let prev =
+             match prev with
+             | Some v when i < Array.length v.v_strategies -> Some v.v_strategies.(i)
+             | _ -> None
+           in
+           strategy_view prev state)
     |> Array.of_list
   in
   { v_seq = b_seq b; v_graph = b_graph b; v_strategies = strategies }
@@ -277,8 +315,9 @@ let offer t delta =
     | Some reason -> reject ("ingest suspended: " ^ reason)
     | None -> (
         (* the vertex universe is fixed, so range/self-loop validity
-           against the published view holds for the writer's graph too *)
-        match Delta.effect (Atomic.get t.view).v_graph delta with
+           against the published view holds for the writer's graph too;
+           O(|delta|), the net effect is resolved once by the writer *)
+        match Delta.validate ~n:(Graph.n (Atomic.get t.view).v_graph) delta with
         | exception Invalid_argument m -> reject ("invalid delta: " ^ m)
         | _ -> (
             (* counted before the push so [idle] can never observe the
@@ -435,7 +474,7 @@ let breaker_name = function
 let publish t my_epoch b =
   Mutex.lock t.pub_m;
   if Atomic.get t.epoch = my_epoch then begin
-    let v = make_view b in
+    let v = make_view ~prev:(Atomic.get t.view) b in
     Atomic.set t.view v;
     Obs.set_gauge g_view_seq (float_of_int v.v_seq)
   end;

@@ -66,21 +66,24 @@ let append ?(repair = true) t delta =
   if t.closed then invalid_arg "Store.append: store is closed";
   if repair && t.states_stale then
     invalid_arg "Store.append: spanner states are stale (rebuild first)";
-  (* validate first — an invalid delta must not reach the log *)
-  match Delta.effect t.g delta with
-  | [], [] -> []
-  | _ ->
-      let seq = Wal.append t.wal delta in
-      t.seq <- seq;
-      t.g <- Delta.apply t.g delta;
-      if repair then List.map (fun (_, st) -> Repair.apply st delta) t.states
-      else begin
-        (* log-and-defer: the WAL and graph advance, the maintained
-           spanners intentionally lag — the circuit-breaker path that
-           trades incremental repair for one batched [rebuild] *)
-        t.states_stale <- true;
-        []
-      end
+  (* resolve (and so validate) first — an invalid delta must not reach
+     the log; the net effect and patched graph are then shared by the
+     store and every maintained spanner *)
+  let net = Delta.net t.g delta in
+  if Delta.is_quiescent net then []
+  else begin
+    let seq = Wal.append t.wal delta in
+    t.seq <- seq;
+    t.g <- net.Delta.result;
+    if repair then List.map (fun (_, st) -> Repair.apply_net st net) t.states
+    else begin
+      (* log-and-defer: the WAL and graph advance, the maintained
+         spanners intentionally lag — the circuit-breaker path that
+         trades incremental repair for one batched [rebuild] *)
+      t.states_stale <- true;
+      []
+    end
+  end
 
 let rebuild t =
   if t.closed then invalid_arg "Store.rebuild: store is closed";
@@ -207,12 +210,12 @@ let recover ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ?(verify = false)
       List.iter
         (fun (r : Wal.record) ->
           if not !stop then
-            match Delta.effect !g r.Wal.delta with
-            | _ ->
-                (* [effect] validated every op, so neither apply below
-                   can raise *)
-                List.iter (fun (_, st) -> ignore (Repair.apply st r.Wal.delta)) states;
-                g := Delta.apply !g r.Wal.delta;
+            match Delta.net !g r.Wal.delta with
+            | net ->
+                (* resolving validated every op, so the repairs below
+                   cannot raise *)
+                List.iter (fun (_, st) -> ignore (Repair.apply_net st net)) states;
+                g := net.Delta.result;
                 last := r.Wal.seq;
                 incr replayed;
                 Obs.incr c_replayed

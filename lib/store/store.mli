@@ -54,9 +54,10 @@ val states_stale : t -> bool
     re-derives the spanner states from the advanced graph. *)
 
 val append : ?repair:bool -> t -> Delta.t -> Repair.outcome list
-(** Log-then-apply: validate the delta against the current graph,
-    append it to the WAL, then heal every maintained spanner through
-    {!Repair.apply}. A delta with empty net effect is skipped entirely
+(** Log-then-apply: resolve the delta against the current graph once
+    ({!Delta.net}, which validates it), append it to the WAL, then heal
+    every maintained spanner through {!Repair.apply_net} — the store
+    and all spanners share the one patched graph. A delta with empty net effect is skipped entirely
     (nothing logged, nothing returned) — quiescence stays free and the
     log stays dense. Raises [Invalid_argument] on an invalid delta,
     {e before} anything is written.

@@ -164,6 +164,33 @@ let test_repair_overlapping_dirty_balls () =
   check "batched = sequential on overlapping deltas" true
     (Repair.pairs st2 = Repair.pairs st3)
 
+(* [restore] round-trips exported trees and rejects lists that do not
+   replay into a rooted tree, naming the tree and the rule broken. *)
+let test_restore_validation () =
+  let g = Gen.path_graph 5 in
+  let spec = Repair.Gdy_k { k = 1 } in
+  let st = Repair.init spec g in
+  let back = Repair.restore spec g ~trees:(Repair.export_trees st) in
+  check "round trip" true (Repair.pairs back = Repair.pairs st);
+  let with_tree u edges =
+    let trees = Repair.export_trees st in
+    trees.(u) <- edges;
+    trees
+  in
+  let rejects name trees msg =
+    Alcotest.check_raises name (Failure msg) (fun () ->
+        ignore (Repair.restore spec g ~trees))
+  in
+  rejects "orphan child" (with_tree 0 [ (1, 2) ])
+    "Repair.restore: tree 0 malformed: Tree.add_edge: parent not in tree";
+  rejects "root re-parented" (with_tree 2 [ (2, 1); (1, 2) ])
+    "Repair.restore: tree 2 malformed: Tree.add_edge: cannot re-parent the root";
+  rejects "conflicting parents"
+    (with_tree 2 [ (2, 1); (2, 3); (1, 0); (3, 4); (4, 3) ])
+    "Repair.restore: tree 2 malformed: Tree.add_edge: child already has a different parent";
+  rejects "absent edge" (with_tree 0 [ (0, 2) ])
+    "Repair.restore: tree 0 edge (0,2) absent from the graph"
+
 let all_specs =
   [ Repair.Gdy_k { k = 1 }; Repair.Mis_k { k = 2 }; Repair.Mis { r = 3 };
     Repair.Gdy { r = 3; beta = 1 } ]
@@ -273,6 +300,152 @@ let prop_incremental_equivalence seed =
   done;
   !ok
 
+(* Every spec, one random UDG and delta sequence per seed: after each
+   apply the maintained spanner equals a from-scratch build of the new
+   graph (pairs and the published edge set), passes the global
+   (alpha, beta) check, and the last diff reconstructs it from the
+   previous spanner. *)
+let prop_all_specs_equivalence seed =
+  let rand = Rand.create seed in
+  let n = 15 + Rand.int rand 30 in
+  let g = udg ~seed:(seed + 7) ~n ~density:3.5 in
+  List.for_all
+    (fun spec ->
+      let st = Repair.init spec g in
+      let ok = ref true in
+      for _ = 1 to 4 do
+        let sp0 = Repair.spanner st in
+        let before = Edge_set.to_list sp0 in
+        ignore (Repair.apply st (random_delta rand (Repair.graph st)));
+        let g' = Repair.graph st in
+        let built = pairs_of_set (Repair.build spec g') in
+        let sp = Repair.spanner st in
+        if Repair.pairs st <> built || Edge_set.to_list sp <> built then ok := false;
+        if not (Edge_set.host sp == g' && Edge_set.cardinal sp = List.length built) then
+          ok := false;
+        (match Repair.last_diff st with
+        | Some d when sp != sp0 ->
+            if d.Repair.before != sp0 then ok := false;
+            let kept = List.filter (fun p -> not (List.mem p d.Repair.lost)) before in
+            if List.sort compare (kept @ d.Repair.gained) <> built then ok := false
+        | _ -> ());
+        match Repair.alpha_beta spec with
+        | Some (alpha, beta) ->
+            if not (Rs_core.Verify.is_remote_spanner g' sp ~alpha ~beta) then ok := false
+        | None -> ()
+      done;
+      !ok)
+    all_specs
+
+(* An under-estimated radius leaves trees holding the changed edges
+   un-recomputed: the local gate must notice and climb the ladder, and
+   whatever rung it stops at must pass the global check. *)
+let prop_underestimated_radius_escalates seed =
+  let rand = Rand.create seed in
+  let g = udg ~seed:(seed + 11) ~n:(30 + Rand.int rand 30) ~density:4.0 in
+  let spec = Repair.Gdy { r = 3; beta = 1 } in
+  let alpha, beta = Option.get (Repair.alpha_beta spec) in
+  let st = Repair.init spec g in
+  let sp = Repair.spanner st in
+  (* a spanner edge some tree other than its endpoints' relies on (so
+     radius 0 leaves that tree holding a removed edge) *)
+  let owned_elsewhere (u, v) =
+    List.exists
+      (fun r -> r <> u && r <> v && List.exists (fun (p, c) -> (min p c, max p c) = (u, v))
+                                      (Repair.tree_edges st r))
+      (List.init (Graph.n g) Fun.id)
+  in
+  match List.filter owned_elsewhere (Edge_set.to_list sp) with
+  | [] -> QCheck2.assume_fail ()
+  | (u, v) :: _ ->
+      let o = Repair.apply ~dirty_radius:0 st [ Delta.Remove_edge (u, v) ] in
+      o.Repair.escalations >= 1
+      && o.Repair.level <> Repair.Local
+      && Rs_core.Verify.is_remote_spanner (Repair.graph st) (Repair.spanner st) ~alpha ~beta
+
+(* The pre-overlay [Delta.effect]: both edge sets as full hash tables.
+   Kept as the reference the O(|delta|) overlay must reproduce. *)
+let ref_effect g ops =
+  let n = Graph.n g in
+  let encode u v = if u <= v then (u * n) + v else (v * n) + u in
+  let decode e = (e / n, e mod n) in
+  let edge_tbl () =
+    let t = Hashtbl.create 64 in
+    Graph.iter_edges (fun u v -> Hashtbl.replace t (encode u v) ()) g;
+    t
+  in
+  let check_vertex v =
+    if v < 0 || v >= n then
+      invalid_arg (Printf.sprintf "Delta: vertex %d out of range [0..%d)" v n)
+  in
+  let check_edge u v =
+    check_vertex u;
+    check_vertex v;
+    if u = v then invalid_arg (Printf.sprintf "Delta: self-loop at vertex %d" u)
+  in
+  let after = edge_tbl () in
+  List.iter
+    (function
+      | Delta.Add_edge (u, v) ->
+          check_edge u v;
+          Hashtbl.replace after (encode u v) ()
+      | Delta.Remove_edge (u, v) ->
+          check_edge u v;
+          Hashtbl.remove after (encode u v)
+      | Delta.Node_down u ->
+          check_vertex u;
+          Hashtbl.fold
+            (fun e () acc ->
+              let a, b = decode e in
+              if a = u || b = u then e :: acc else acc)
+            after []
+          |> List.iter (Hashtbl.remove after)
+      | Delta.Node_up (u, links) ->
+          List.iter
+            (fun v ->
+              check_edge u v;
+              Hashtbl.replace after (encode u v) ())
+            links)
+    ops;
+  let before = edge_tbl () in
+  let only t t' =
+    Hashtbl.fold (fun e () acc -> if Hashtbl.mem t' e then acc else e :: acc) t []
+    |> List.sort Int.compare |> List.map decode
+  in
+  (only after before, only before after)
+
+let ref_apply g added removed =
+  Graph.make ~n:(Graph.n g)
+    (added @ List.filter (fun p -> not (List.mem p removed)) (Array.to_list (Graph.edges g)))
+
+let prop_effect_matches_reference seed =
+  let rand = Rand.create seed in
+  let n = 8 + Rand.int rand 30 in
+  let g = udg ~seed:(seed + 3) ~n ~density:3.0 in
+  let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  List.for_all
+    (fun _ ->
+      (* mostly valid ops, sometimes an out-of-range vertex or a loop *)
+      let d = random_delta rand g in
+      let d =
+        match Rand.int rand 6 with
+        | 0 -> d @ [ Delta.Add_edge (Rand.int rand n, n + Rand.int rand 3) ]
+        | 1 -> Delta.Remove_edge (1, 1) :: d
+        | _ -> d
+      in
+      let got = outcome (fun () -> Delta.effect g d) in
+      got = outcome (fun () -> ref_effect g d)
+      && outcome (fun () -> Delta.validate ~n d)
+         = Result.map (fun _ -> ()) got
+      &&
+      match got with
+      | Ok (added, removed) ->
+          let net = Delta.net g d in
+          net.Delta.added = added && net.Delta.removed = removed
+          && Graph.equal net.Delta.result (ref_apply g added removed)
+      | Error _ -> true)
+    (List.init 8 Fun.id)
+
 let make_prop ?(count = 60) name prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count QCheck2.Gen.(int_range 0 1_000_000) prop)
@@ -341,11 +514,16 @@ let () =
           Alcotest.test_case "overlapping dirty balls" `Quick test_repair_overlapping_dirty_balls;
           Alcotest.test_case "all specs" `Quick test_repair_all_specs;
           Alcotest.test_case "escalation ladder" `Quick test_escalation_ladder;
+          Alcotest.test_case "restore validation" `Quick test_restore_validation;
           Alcotest.test_case "incremental target" `Quick test_incremental_target;
         ] );
       ( "properties",
         [
           make_prop "incremental repair = from-scratch" prop_incremental_equivalence;
+          make_prop ~count:25 "every spec = from-scratch, verified" prop_all_specs_equivalence;
+          make_prop ~count:25 "under-estimated radius escalates"
+            prop_underestimated_radius_escalates;
+          make_prop ~count:100 "effect = hash-table reference" prop_effect_matches_reference;
           prop_parse_print_roundtrip;
         ] );
       ( "acceptance",

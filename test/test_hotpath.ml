@@ -432,6 +432,160 @@ let test_scratch_reuse_identical_spanners () =
       check "spanner identical" true (Edge_set.equal with_shared with_fresh))
     (Lazy.force instances)
 
+(* ---------- write path: patch, rehost, local checks ---------- *)
+
+(* Random net effect against [g]: a few present edges to remove and
+   absent pairs to add, each sorted canonical and duplicate-free. *)
+let random_change rand g =
+  let n = Graph.n g and m = Graph.m g in
+  let uniq l = List.sort_uniq compare l in
+  let removed =
+    if m = 0 then [] else uniq (List.init (Rand.int rand 4) (fun _ -> Graph.edge g (Rand.int rand m)))
+  in
+  let added =
+    List.init (Rand.int rand 4) (fun _ -> (Rand.int rand n, Rand.int rand n))
+    |> List.filter (fun (u, v) -> u <> v && not (Graph.mem_edge g u v))
+    |> List.map (fun (u, v) -> (min u v, max u v))
+    |> uniq
+  in
+  (added, removed)
+
+let same_layout a b =
+  let oa, na = Graph.csr a and ob, nb = Graph.csr b in
+  oa = ob && na = nb
+  && Graph.edges a = Graph.edges b
+  && Array.for_all
+       (fun (u, v) -> Graph.edge_id a u v = Graph.edge_id b u v && Graph.edge_id a v u = Graph.edge_id b u v)
+       (Graph.edges a)
+
+let test_patch_matches_make () =
+  let rand = Rand.create 5 in
+  List.iter
+    (fun g0 ->
+      let g = ref g0 in
+      for _ = 1 to 25 do
+        let added, removed = random_change rand !g in
+        let patched = Graph.patch !g ~added ~removed in
+        let made =
+          Graph.make ~n:(Graph.n !g)
+            (added @ List.filter (fun p -> not (List.mem p removed)) (Array.to_list (Graph.edges !g)))
+        in
+        check "patch = make (off, nbr, edges, ids)" true (same_layout patched made);
+        g := patched
+      done;
+      check "empty patch is the graph itself" true (Graph.patch !g ~added:[] ~removed:[] == !g))
+    (Gen.path_graph 2 :: Graph.make ~n:5 [] :: Lazy.force instances);
+  let g = Gen.path_graph 4 in
+  let rejects what f =
+    check what true (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejects "present edge added" (fun () -> Graph.patch g ~added:[ (0, 1) ] ~removed:[]);
+  rejects "absent edge removed" (fun () -> Graph.patch g ~added:[] ~removed:[ (0, 2) ]);
+  rejects "non-canonical" (fun () -> Graph.patch g ~added:[ (2, 0) ] ~removed:[]);
+  rejects "unsorted" (fun () -> Graph.patch g ~added:[ (1, 3); (0, 2) ] ~removed:[])
+
+let test_rehost_matches_rebuild () =
+  let rand = Rand.create 9 in
+  List.iter
+    (fun g ->
+      for _ = 1 to 20 do
+        let s = Edge_set.create g in
+        Graph.iter_edges (fun u v -> if Rand.int rand 2 = 0 then Edge_set.add s u v) g;
+        let added, removed = random_change rand g in
+        let g' = Graph.patch g ~added ~removed in
+        let moved = Edge_set.rehost s g' ~added ~removed in
+        let expected = List.filter (fun p -> not (List.mem p removed)) (Edge_set.to_list s) in
+        check "members carried over" true (Edge_set.to_list moved = expected);
+        check_int "cardinal" (List.length expected) (Edge_set.cardinal moved);
+        check "new host" true (Edge_set.host moved == g')
+      done)
+    (Lazy.force instances)
+
+(* The ball-local checks against the literal n-scan definitions, on the
+   trees the constructions build and on damaged copies of them. *)
+let ref_is_dominating g ~r ~beta t =
+  let dist = Bfs.dist g (Tree.root t) in
+  Graph.fold_vertices
+    (fun ok v ->
+      ok
+      && (dist.(v) < 2 || dist.(v) > r
+         || Array.exists
+              (fun x -> Tree.mem t x && Tree.depth t x <= dist.(v) - 1 + beta)
+              (Graph.neighbors g v)))
+    true g
+
+let ref_is_k_dominating g ~k ~beta t =
+  let u = Tree.root t in
+  let dist = Bfs.dist g u in
+  Graph.fold_vertices
+    (fun ok v ->
+      ok
+      && (dist.(v) <> 2
+         || Dom_tree_k.disjoint_branch_count g t ~beta v >= k
+         || Array.for_all
+              (fun w -> (not (Graph.mem_edge g u w)) || (Tree.mem t w && Tree.parent t w = u))
+              (Graph.neighbors g v)))
+    true g
+
+(* the tree minus its deepest leaf: usually no longer dominating *)
+let damaged g t =
+  let es = Tree.edges t in
+  let leaves = List.filter (fun (_, c) -> not (List.exists (fun (p, _) -> p = c) es)) es in
+  match List.sort (fun (_, a) (_, b) -> compare (Tree.depth t b, b) (Tree.depth t a, a)) leaves with
+  | [] -> t
+  | (_, leaf) :: _ ->
+      let t' = Tree.create ~n:(Graph.n g) ~root:(Tree.root t) in
+      List.iter
+        (fun (p, c) -> if c <> leaf then Tree.add_edge t' ~parent:p ~child:c)
+        (List.sort (fun (_, a) (_, b) -> compare (Tree.depth t a, a) (Tree.depth t b, b)) es);
+      t'
+
+let test_local_domination_checks () =
+  let scratch = Bfs.Scratch.create () in
+  let seen_false = ref false in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun u ->
+          List.iter
+            (fun t ->
+              let a = Dom_tree.is_dominating g ~r:3 ~beta:1 t in
+              if not a then seen_false := true;
+              check "is_dominating = n-scan" true (a = ref_is_dominating g ~r:3 ~beta:1 t))
+            (let t = Dom_tree.gdy ~scratch g ~r:3 ~beta:1 u in
+             [ t; damaged g t ]);
+          List.iter
+            (fun (k, beta, t) ->
+              check "is_k_dominating = n-scan" true
+                (Dom_tree_k.is_k_dominating g ~k ~beta t
+                = ref_is_k_dominating g ~k ~beta t))
+            (let t0 = Dom_tree_k.gdy_k ~scratch g ~k:2 u in
+             let t1 = Dom_tree_k.mis_k ~scratch g ~k:2 u in
+             [ (2, 0, t0); (2, 0, damaged g t0); (2, 1, t1); (2, 1, damaged g t1) ]))
+        (roots g))
+    (Lazy.force instances);
+  check "damaged trees exercised the negative case" true !seen_false
+
+(* Tree-free emitters: same edges as the [Tree.t] constructions. *)
+let test_edge_emitters_match_trees () =
+  let scratch = Bfs.Scratch.create () in
+  let sorted l = List.sort compare l in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun u ->
+          check "gdy_edges" true
+            (sorted (Dom_tree.gdy_edges ~scratch g ~r:3 ~beta:1 u)
+            = sorted (Tree.edges (Dom_tree.gdy ~scratch g ~r:3 ~beta:1 u)));
+          check "mis_edges" true
+            (sorted (Dom_tree.mis_edges ~scratch g ~r:3 u)
+            = sorted (Tree.edges (Dom_tree.mis ~scratch g ~r:3 u)));
+          check "gdy_k_edges" true
+            (sorted (Dom_tree_k.gdy_k_edges ~scratch g ~k:2 u)
+            = sorted (Tree.edges (Dom_tree_k.gdy_k ~scratch g ~k:2 u))))
+        (roots g))
+    (Lazy.force instances)
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -459,5 +613,12 @@ let () =
           Alcotest.test_case "gdy_k matches reference" `Quick test_gdy_k_matches_reference;
           Alcotest.test_case "scratch reuse leaks nothing" `Quick
             test_scratch_reuse_identical_spanners;
+          Alcotest.test_case "edge emitters match trees" `Quick test_edge_emitters_match_trees;
+          Alcotest.test_case "local domination checks" `Quick test_local_domination_checks;
+        ] );
+      ( "write-path",
+        [
+          Alcotest.test_case "patch matches make" `Quick test_patch_matches_make;
+          Alcotest.test_case "rehost matches rebuild" `Quick test_rehost_matches_rebuild;
         ] );
     ]

@@ -114,6 +114,45 @@ let test_lifecycle () =
     (ignore (Service.stop svc);
      true)
 
+(* Views are updated by each repair's diff: after every delta, every
+   node's advertisement and the stats must match the published spanner
+   exactly as a from-scratch view would present it. *)
+let test_view_by_diff () =
+  let g = udg ~seed:14 ~n:70 ~density:4.0 in
+  let specs = [ spec; Repair.Gdy { r = 3; beta = 1 } ] in
+  let svc = Service.start base_config (Service.Ephemeral { specs; g }) in
+  let rand = Rand.create 3 in
+  for step = 1 to 12 do
+    let g_now, _ = Service.peek svc in
+    let u, v = Graph.edge g_now (Rand.int rand (Graph.m g_now)) in
+    let delta =
+      if step mod 3 = 0 then [ Delta.Node_down u ] else [ Delta.Remove_edge (u, v) ]
+    in
+    (match Service.offer svc delta with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "offer rejected: %s" e);
+    wait_for "drain" (fun () -> Service.idle svc);
+    let g_now, spanners = Service.peek svc in
+    List.iteri
+      (fun i (_, sp) ->
+        let adj = Edge_set.to_adjacency sp in
+        for x = 0 to Graph.n g_now - 1 do
+          match (Service.query ~strategy:i svc (Service.Advert x)).Service.answer with
+          | Ok (Service.Advert_a l) ->
+              check "advert = spanner adjacency" true (l = Array.to_list adj.(x))
+          | _ -> Alcotest.fail "advert failed"
+        done;
+        match (Service.query ~strategy:i svc Service.Stats).Service.answer with
+        | Ok (Service.Stats_a { spanner; advert; m; _ }) ->
+            check_int "stats spanner size" (Edge_set.cardinal sp) spanner;
+            check_int "stats advert size" (2 * Edge_set.cardinal sp) advert;
+            check_int "stats graph size" (Graph.m g_now) m
+        | _ -> Alcotest.fail "stats failed")
+      spanners;
+    verify_view svc
+  done;
+  ignore (Service.stop svc)
+
 (* ---------------------------------------------------------------- *)
 (* Overload: a full ingest queue and an invalid delta both reject
    with a reason; memory never grows past the configured bound. *)
@@ -253,6 +292,7 @@ let () =
   Alcotest.run "serve"
     [ ( "service",
         [ Alcotest.test_case "lifecycle" `Quick test_lifecycle;
+          Alcotest.test_case "view by diff" `Quick test_view_by_diff;
           Alcotest.test_case "offer rejection" `Quick test_offer_rejection;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "stale + breaker" `Quick test_stale_and_breaker;
