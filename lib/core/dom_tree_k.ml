@@ -6,38 +6,42 @@ let c_trees = Obs.counter "domtree/trees_built"
 let c_relays = Obs.counter "domtree_k/relays"
 let h_sphere = Obs.histogram "domtree_k/sphere_size"
 
-let disjoint_branch_count g t ~beta v =
-  let u = Tree.root t in
+(* Over the CSR (never the per-vertex [Graph.neighbors] arrays, whose
+   first use on a freshly patched graph costs O(n + m)). [member x] is
+   [Some (depth, first hop)] for tree members. *)
+let branch_count g ~member ~beta u v =
   let hops = Hashtbl.create 8 in
-  Array.iter
-    (fun x ->
-      if x <> u && Tree.mem t x && Tree.depth t x <= 1 + beta then
-        Hashtbl.replace hops (Tree.first_hop t x) ())
-    (Graph.neighbors g v);
+  Graph.iter_neighbors g v (fun x ->
+      if x <> u then
+        match member x with
+        | Some (d, hop) when d <= 1 + beta -> Hashtbl.replace hops hop ()
+        | _ -> ());
   Hashtbl.length hops
 
+let disjoint_branch_count g t ~beta v =
+  let u = Tree.root t in
+  let member x = if x <> u && Tree.mem t x then Some (Tree.depth t x, Tree.first_hop t x) else None in
+  branch_count g ~member ~beta u v
+
 let common_neighbors g u v =
-  Array.to_list (Graph.neighbors g v) |> List.filter (fun w -> Graph.mem_edge g u w)
+  List.rev (Graph.fold_neighbors g v (fun acc w -> if Graph.mem_edge g u w then w :: acc else acc) [])
 
 (* The definition checked over B(u, 2) only: the 2-sphere comes off one
    bounded traversal, and a sphere node's common neighbors with [u] are
-   exactly its neighbors at distance 1. *)
-let k_dominates ~scratch g ~k ~beta u ~depth ~first_hop =
+   exactly its neighbors at distance 1 (the star condition: each of them
+   hangs off the root, i.e. has depth 1). *)
+let k_dominates ~scratch g ~k ~beta u ~member =
   Bfs.Scratch.run ~radius:2 scratch g u;
   let ok = ref true and i = ref 0 in
   let count = Bfs.Scratch.visited_count scratch in
   while !ok && !i < count do
     let v = Bfs.Scratch.visited scratch !i in
     if Bfs.Scratch.dist scratch v = 2 then begin
-      let hops = ref [] and stars = ref true in
+      let stars = ref true in
       Graph.iter_neighbors g v (fun x ->
-          let d = depth x in
-          if d >= 1 && d <= 1 + beta then begin
-            let h = first_hop x in
-            if not (List.mem h !hops) then hops := h :: !hops
-          end;
-          if Bfs.Scratch.dist scratch x = 1 && d <> 1 then stars := false);
-      if List.length !hops < k && not !stars then ok := false
+          if Bfs.Scratch.dist scratch x = 1 then
+            match member x with Some (1, _) -> () | _ -> stars := false);
+      if (not !stars) && branch_count g ~member ~beta u v < k then ok := false
     end;
     incr i
   done;
@@ -47,10 +51,12 @@ let check_scratch = Domain.DLS.new_key Bfs.Scratch.create
 
 let is_k_dominating g ~k ~beta t =
   let u = Tree.root t in
-  let depth x = if Tree.mem t x then Tree.depth t x else -1 in
-  Tree.edges_in g t
-  && k_dominates ~scratch:(Domain.DLS.get check_scratch) g ~k ~beta u ~depth
-       ~first_hop:(Tree.first_hop t)
+  let member x =
+    if x = u then Some (0, -1)
+    else if Tree.mem t x then Some (Tree.depth t x, Tree.first_hop t x)
+    else None
+  in
+  Tree.edges_in g t && k_dominates ~scratch:(Domain.DLS.get check_scratch) g ~k ~beta u ~member
 
 (* Removal rule shared by both algorithms, instantiated with the
    "already fully used" predicate and the disjointness requirement. *)
@@ -126,19 +132,28 @@ let gdy_k_edges ~scratch g ~k u =
   gdy_k_emit g ~k ~sphere u ~add:(fun p c -> acc := (p, c) :: !acc);
   List.rev !acc
 
-let mis_k ?scratch g ~k u =
+(* Algorithm 5 emitting [(parent, child)] edges against a per-tree
+   table (member -> depth, first hop), so its cost is that of the
+   2-ball; [mis_k] replays the edges into a [Tree.t]. *)
+let mis_k_edges ~scratch g ~k u =
   if k < 1 then invalid_arg "Dom_tree_k.mis_k: k < 1";
   Obs.incr c_trees;
-  let sc = scratch_or scratch in
-  Bfs.Scratch.run ~radius:2 sc g u;
-  let t = Tree.create ~n:(Graph.n g) ~root:u in
-  let sphere = sphere2_of sc in
+  Bfs.Scratch.run ~radius:2 scratch g u;
+  let sphere = sphere2_of scratch in
   if Obs.enabled () then Obs.observe h_sphere (float_of_int (Array.length sphere));
+  let info = Hashtbl.create 16 and acc = ref [] in
+  Hashtbl.replace info u (0, -1);
+  let mem v = Hashtbl.mem info v in
+  let add p c =
+    let d, hop = Hashtbl.find info p in
+    Hashtbl.replace info c (d + 1, if p = u then c else hop);
+    acc := (p, c) :: !acc
+  in
   let s = Hashtbl.create 64 in
   Array.iter (fun v -> Hashtbl.replace s v ()) sphere;
   let dominated v =
-    common_neighbors g u v |> List.for_all (fun w -> Tree.mem t w)
-    || disjoint_branch_count g t ~beta:1 v >= k
+    common_neighbors g u v |> List.for_all mem
+    || branch_count g ~member:(Hashtbl.find_opt info) ~beta:1 u v >= k
   in
   let prune () =
     Hashtbl.iter (fun v () -> if dominated v then Hashtbl.remove s v) (Hashtbl.copy s)
@@ -155,29 +170,33 @@ let mis_k ?scratch g ~k u =
       in
       if x < 0 then continue := false
       else begin
-        let fresh =
-          common_neighbors g u x |> List.filter (fun y -> not (Tree.mem t y))
-        in
+        let fresh = common_neighbors g u x |> List.filter (fun y -> not (mem y)) in
         (* The paper's invariant: a picked x always has a fresh common
            neighbor, else the first removal rule would have pruned it. *)
         assert (fresh <> []);
         let chosen = List.filteri (fun i _ -> i < k) fresh in
         (match chosen with
         | y1 :: rest ->
-            Tree.add_edge t ~parent:u ~child:y1;
-            if not (Tree.mem t x) then Tree.add_edge t ~parent:y1 ~child:x;
-            List.iter (fun y -> Tree.add_edge t ~parent:u ~child:y) rest
+            add u y1;
+            if not (mem x) then add y1 x;
+            List.iter (add u) rest
         | [] -> assert false);
         prune ();
         (* X := X \ B_G(x, 1) *)
         Hashtbl.remove x_set x;
-        Array.iter (fun w -> Hashtbl.remove x_set w) (Graph.neighbors g x)
+        Graph.iter_neighbors g x (Hashtbl.remove x_set)
       end
     done
   done;
   (* By Proposition 7 the loop empties S; keep a defensive check so a
      violated invariant fails loudly in tests rather than silently. *)
   assert (Hashtbl.length s = 0);
+  List.rev !acc
+
+let mis_k ?scratch g ~k u =
+  let edges = mis_k_edges ~scratch:(scratch_or scratch) g ~k u in
+  let t = Tree.create ~n:(Graph.n g) ~root:u in
+  List.iter (fun (p, c) -> Tree.add_edge t ~parent:p ~child:c) edges;
   t
 
 let extract_k21 g h ~k u =
@@ -223,7 +242,7 @@ let extract_k21 g h ~k u =
             |> List.iter (fun y -> Tree.add_edge t ~parent:u ~child:y));
         prune ();
         Hashtbl.remove x_set x;
-        Array.iter (fun w -> Hashtbl.remove x_set w) (Graph.neighbors g x)
+        Graph.iter_neighbors g x (Hashtbl.remove x_set)
       end
     done
   done;

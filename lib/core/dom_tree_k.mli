@@ -36,14 +36,13 @@ val k_dominates :
   k:int ->
   beta:int ->
   int ->
-  depth:(int -> int) ->
-  first_hop:(int -> int) ->
+  member:(int -> (int * int) option) ->
   bool
-(** [k_dominates ~scratch g ~k ~beta u ~depth ~first_hop] checks the
-    condition for root [u] with the tree given as [depth x] (tree depth
-    of member [x], [-1] otherwise) and [first_hop x] (depth-1 ancestor
-    of a non-root member): one BFS of radius 2, cost of the 2-ball. The
-    tree's edges are not checked. *)
+(** [k_dominates ~scratch g ~k ~beta u ~member] checks the condition
+    for root [u] with the tree given as [member x] = [Some (depth,
+    first_hop)] for a member [x] ([first_hop] = its depth-1 ancestor;
+    only read for non-root members) and [None] otherwise: one BFS of
+    radius 2, cost of the 2-ball. The tree's edges are not checked. *)
 
 val gdy_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> Tree.t
 (** Algorithm 4 (DomTreeGdy_{2,0,k}): greedy k-multicover of the
@@ -72,6 +71,11 @@ val mis_k : ?scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> Tree.t
     node [x] is attached through a fresh common neighbor and up to
     [k-1] further fresh relays become extra root children. O(k^2)
     edges on unit ball graphs of doubling metrics (Proposition 7). *)
+
+val mis_k_edges : scratch:Bfs.Scratch.t -> Graph.t -> k:int -> int -> (int * int) list
+(** The [(parent, child)] edges of [mis_k ~scratch g ~k u] in emission
+    order (parents first), without the n-sized {!Tree.t}: cost of the
+    2-ball. *)
 
 val extract_k21 : Graph.t -> Edge_set.t -> k:int -> int -> Tree.t option
 (** [extract_k21 g h ~k u] greedily builds a k-connecting

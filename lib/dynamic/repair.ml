@@ -66,34 +66,27 @@ let shallow_first u edges =
   |> List.sort compare
   |> List.map (fun (_, c, p) -> (p, c))
 
-let ordered_edges tree =
-  Tree.edges tree
-  |> List.map (fun (p, c) -> (Tree.depth tree c, c, p))
-  |> List.sort compare
-  |> List.map (fun (_, c, p) -> (p, c))
-
-(* The spec's tree for [u], shallow-first. Three families emit edges
-   against a per-tree table (cost of the ball); [mis_k] has no emitting
-   core and still goes through its n-sized [Tree.t]. *)
+(* The spec's tree for [u], shallow-first, emitted against a per-tree
+   table: the cost of the ball, never an n-sized [Tree.t]. *)
 let tree_of spec ~scratch g u =
   match spec with
   | Gdy { r; beta } -> shallow_first u (Dom_tree.gdy_edges ~scratch g ~r ~beta u)
   | Mis { r } -> shallow_first u (Dom_tree.mis_edges ~scratch g ~r u)
   | Gdy_k { k } -> shallow_first u (Dom_tree_k.gdy_k_edges ~scratch g ~k u)
-  | Mis_k { k } -> ordered_edges (Dom_tree_k.mis_k ~scratch g ~k u)
+  | Mis_k { k } -> shallow_first u (Dom_tree_k.mis_k_edges ~scratch g ~k u)
 
 (* Is the stored tree of [u] a dominating tree of the spec's family in
    [g]? Checked over [u]'s ball only (radius r, or 2 for the star
    families); edge existence is gate (a')'s job. *)
 let tree_ok spec ~scratch g u edges =
   let idx = index u edges in
-  let depth x = match Hashtbl.find_opt idx x with Some (d, _) -> d | None -> -1 in
-  let first_hop x = snd (Hashtbl.find idx x) in
+  let member = Hashtbl.find_opt idx in
+  let depth x = match member x with Some (d, _) -> d | None -> -1 in
   match spec with
   | Gdy { r; beta } -> Dom_tree.dominates ~scratch g ~r ~beta u ~depth
   | Mis { r } -> Dom_tree.dominates ~scratch g ~r ~beta:1 u ~depth
-  | Gdy_k { k } -> Dom_tree_k.k_dominates ~scratch g ~k ~beta:0 u ~depth ~first_hop
-  | Mis_k { k } -> Dom_tree_k.k_dominates ~scratch g ~k ~beta:1 u ~depth ~first_hop
+  | Gdy_k { k } -> Dom_tree_k.k_dominates ~scratch g ~k ~beta:0 u ~member
+  | Mis_k { k } -> Dom_tree_k.k_dominates ~scratch g ~k ~beta:1 u ~member
 
 (* ------------------------------------------------------------------ *)
 (* metrics *)

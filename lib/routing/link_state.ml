@@ -32,7 +32,7 @@ let dist_from_in_view t ~view:c dst =
     incr head;
     let dx = dist.(x) in
     Array.iter (fun y -> push y (dx + 1)) t.h_adj.(x);
-    if x = c then Array.iter (fun y -> push y (dx + 1)) (Graph.neighbors t.g c)
+    if x = c then Graph.iter_neighbors t.g c (fun y -> push y (dx + 1))
     else if Graph.mem_edge t.g c x then push c (dx + 1)
   done;
   dist
@@ -42,13 +42,11 @@ let next_hop t ~src ~dst =
   else begin
     let dist = dist_from_in_view t ~view:src dst in
     let best = ref (-1) and best_d = ref max_int in
-    Array.iter
-      (fun w ->
+    Graph.iter_neighbors t.g src (fun w ->
         if dist.(w) >= 0 && dist.(w) < !best_d then begin
           best := w;
           best_d := dist.(w)
-        end)
-      (Graph.neighbors t.g src);
+        end);
     if !best < 0 then None else Some !best
   end
 

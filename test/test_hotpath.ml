@@ -582,7 +582,10 @@ let test_edge_emitters_match_trees () =
             = sorted (Tree.edges (Dom_tree.mis ~scratch g ~r:3 u)));
           check "gdy_k_edges" true
             (sorted (Dom_tree_k.gdy_k_edges ~scratch g ~k:2 u)
-            = sorted (Tree.edges (Dom_tree_k.gdy_k ~scratch g ~k:2 u))))
+            = sorted (Tree.edges (Dom_tree_k.gdy_k ~scratch g ~k:2 u)));
+          check "mis_k_edges" true
+            (sorted (Dom_tree_k.mis_k_edges ~scratch g ~k:2 u)
+            = sorted (Tree.edges (Dom_tree_k.mis_k ~scratch g ~k:2 u))))
         (roots g))
     (Lazy.force instances)
 
