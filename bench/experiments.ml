@@ -206,8 +206,8 @@ let e4_ubg_eps () =
             if n <= 400 then
               record_check
                 (Printf.sprintf "E4 n=%d eps=%.2f" n eps)
-                (Parallel.is_remote_spanner g h ~alpha:(1.0 +. eps)
-                   ~beta:(1.0 -. (2.0 *. eps)))
+                (Verify.is_remote_spanner ~domains:(Sharded.default_domains ()) g h
+                   ~alpha:(1.0 +. eps) ~beta:(1.0 -. (2.0 *. eps)))
             else "-"
           in
           print_row cols

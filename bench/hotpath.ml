@@ -139,11 +139,11 @@ let bench_size rows ~seen ~tier ~n =
   if tier = `Full then begin
   add "domtree/mis-r3" (fun () -> Dom_tree.mis ~scratch g ~r:3 0);
   add "union/exact-seq" (fun () -> Remote_spanner.exact_distance g);
-  add "union/exact-par4" (fun () -> Parallel.exact_distance ~domains:4 g);
+  add "union/exact-par4" (fun () -> Remote_spanner.exact_distance ~domains:4 g);
   let h = Remote_spanner.exact_distance g in
   add "verify/seq" (fun () -> Verify.is_remote_spanner g h ~alpha:1.0 ~beta:0.0);
   add "verify/par4" (fun () ->
-      Parallel.is_remote_spanner ~domains:4 g h ~alpha:1.0 ~beta:0.0);
+      Verify.is_remote_spanner ~domains:4 g h ~alpha:1.0 ~beta:0.0);
   add_repair "repair/delta-n100" (n / 100);
   add_repair "repair/delta-n10" (n / 10);
   (* Durable-store load fast path: parsing the text format (split,

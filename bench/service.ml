@@ -38,19 +38,12 @@ open Rs_graph
 module Service = Rs_serve.Service
 module Delta = Rs_dynamic.Delta
 module Repair = Rs_dynamic.Repair
+module Fsutil = Rs_store.Fsutil
 module Store = Rs_store.Store
 module Wal = Rs_store.Wal
 module Repl = Rs_net.Repl
 
 let now = Rs_obs.Obs.now
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Sys.readdir path |> Array.iter (fun n -> rm_rf (Filename.concat path n));
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
 (* Same constant-density unit disk model as bench/support.ml. *)
 let udg ~seed ~n ~density =
@@ -209,7 +202,7 @@ let tcp_steady ~dur ~n rows =
 let replica_catchup ~n ~deltas rows =
   let g = udg ~seed:4242 ~n ~density:4.0 in
   let root = "_bench_repl_scratch" in
-  (try rm_rf root with Unix.Unix_error _ | Sys_error _ -> ());
+  (try Fsutil.rm_rf root with Unix.Unix_error _ | Sys_error _ -> ());
   let ldir = Filename.concat root "leader" in
   let rdir = Filename.concat root "replica" in
   let store =
@@ -263,7 +256,7 @@ let replica_catchup ~n ~deltas rows =
   ignore (Repl.stop_replica r);
   Repl.stop_leader ld;
   ignore (Service.stop svc);
-  (try rm_rf root with Unix.Unix_error _ | Sys_error _ -> ());
+  (try Fsutil.rm_rf root with Unix.Unix_error _ | Sys_error _ -> ());
   Printf.printf
     "replica catch-up (udg%d, %d WAL records behind): %.1f ms from empty \
      directory to lag 0\n"

@@ -1963,6 +1963,19 @@ let ship_cmd =
 let chaostest_cmd =
   let module Chaos = Rs_serve.Chaos in
   let module Net_chaos = Rs_net.Net_chaos in
+  (* one row per harness layer: its scenario names, and a run that
+     renders its report and verdict *)
+  let layers =
+    [ ( Chaos.names,
+        fun ~only ~seed ~n ~batches ~dir ->
+          let r = Chaos.run ~seed ~n ~batches ?only ~dir () in
+          (Fmt.str "%a" Chaos.pp_report r, Chaos.ok r) );
+      ( Net_chaos.names,
+        fun ~only ~seed ~n ~batches ~dir ->
+          let r = Net_chaos.run ~seed ~n ~batches ?only ~dir () in
+          (Fmt.str "%a" Net_chaos.pp_report r, Net_chaos.ok r) ) ]
+  in
+  let known = List.concat_map fst layers in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.") in
   let n =
     Arg.(value & opt int 40 & info [ "n" ] ~docv:"N" ~doc:"Vertex count of the base graph.")
@@ -1977,12 +1990,9 @@ let chaostest_cmd =
       value
       & opt (some string) None
       & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            (Printf.sprintf "Run a single scenario: %s."
-               (String.concat ", " (Chaos.names @ Net_chaos.names))))
+          ~doc:(Printf.sprintf "Run a single scenario: %s." (String.concat ", " known)))
   in
   let run () seed n batches scenario dir =
-    let known = Chaos.names @ Net_chaos.names in
     match scenario with
     | Some s when not (List.mem s known) ->
         Error
@@ -1990,38 +2000,20 @@ let chaostest_cmd =
              (Printf.sprintf "chaostest: unknown scenario %s (known: %s)" s
                 (String.concat ", " known)))
     | _ -> (
-        let run_service =
-          match scenario with None -> true | Some s -> List.mem s Chaos.names
-        in
-        let run_net =
-          match scenario with None -> true | Some s -> List.mem s Net_chaos.names
-        in
         catch_store @@ fun () ->
         match
-          let svc_report =
-            if run_service then Some (Chaos.run ~seed ~n ~batches ?only:scenario ~dir ())
-            else None
-          in
-          let net_report =
-            if run_net then
-              Some (Net_chaos.run ~seed ~n ~batches ?only:scenario ~dir ())
-            else None
-          in
-          (svc_report, net_report)
+          List.filter_map
+            (fun (names, run) ->
+              match scenario with
+              | Some s when not (List.mem s names) -> None
+              | only -> Some (run ~only ~seed ~n ~batches ~dir))
+            layers
         with
         | exception Invalid_argument m -> Error (`Msg m)
-        | svc_report, net_report ->
-            Option.iter
-              (fun rep -> Logs.app (fun m -> m "%a" Chaos.pp_report rep))
-              svc_report;
-            Option.iter
-              (fun rep -> Logs.app (fun m -> m "%a" Net_chaos.pp_report rep))
-              net_report;
-            let ok =
-              Option.fold ~none:true ~some:Chaos.ok svc_report
-              && Option.fold ~none:true ~some:Net_chaos.ok net_report
-            in
-            if ok then Ok () else Error (`Msg "chaos uncovered failures"))
+        | reports ->
+            List.iter (fun (text, _) -> Logs.app (fun m -> m "%s" text)) reports;
+            if List.for_all snd reports then Ok ()
+            else Error (`Msg "chaos uncovered failures"))
   in
   let term =
     Term.(term_result (const run $ obs_term $ seed $ n $ batches $ scenario $ store_pos))

@@ -24,33 +24,30 @@ let r_of_eps eps =
   if eps <= 0.0 || eps > 1.0 then invalid_arg "Remote_spanner.r_of_eps: need 0 < eps <= 1";
   int_of_float (Float.ceil (1.0 /. eps)) + 1
 
-(* Single-domain instances of the batched builder: roots advance
+(* Every entry point is the batched builder: roots advance
    [Msbfs.width] at a time through the multi-source BFS and emit into
    flat edge-id accumulators — same edge sets and same counter totals
-   as the historical one-scratch-per-run tree loop, at a fraction of
-   the per-root cost (see docs/PERFORMANCE.md, "Scaling"). *)
-let rem_span g ~r ~beta =
-  Obs.with_span "build/rem_span" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Gdy { r; beta })))
+   as the per-root tree loop {!union_trees}, at a fraction of the
+   per-root cost (see docs/PERFORMANCE.md, "Scaling"). [?domains]
+   defaults to 1: fanning out is the caller's decision. *)
+let sharded span ?(domains = 1) g strat =
+  Obs.with_span span (fun () -> built (Sharded.build ~domains g strat))
 
-let low_stretch g ~eps =
-  Obs.with_span "build/low_stretch" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Mis { r = r_of_eps eps })))
+let rem_span ?domains g ~r ~beta =
+  sharded "build/rem_span" ?domains g (Sharded.Gdy { r; beta })
 
-let exact_distance g =
-  Obs.with_span "build/exact_distance" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Gdy_k { k = 1 })))
+let low_stretch ?domains g ~eps =
+  sharded "build/low_stretch" ?domains g (Sharded.Mis { r = r_of_eps eps })
 
-let k_connecting g ~k =
-  Obs.with_span "build/k_connecting" (fun () ->
-      built (Sharded.build ~domains:1 g (Sharded.Gdy_k { k })))
+let exact_distance ?domains g =
+  sharded "build/exact_distance" ?domains g (Sharded.Gdy_k { k = 1 })
 
-let k_connecting_mis g ~k =
-  Obs.with_span "build/k_connecting_mis" (fun () ->
-      let scratch = Bfs.Scratch.create () in
-      built (union_trees g (Dom_tree_k.mis_k ~scratch g ~k)))
+let k_connecting ?domains g ~k = sharded "build/k_connecting" ?domains g (Sharded.Gdy_k { k })
 
-let two_connecting g = k_connecting_mis g ~k:2
+let k_connecting_mis ?domains g ~k =
+  sharded "build/k_connecting_mis" ?domains g (Sharded.Mis_k { k })
+
+let two_connecting ?domains g = k_connecting_mis ?domains g ~k:2
 
 module Distributed = struct
   type report = {

@@ -6,7 +6,13 @@
     entry points below compute each node's tree from global data —
     provably the same trees the distributed Algorithm 3 computes from
     r-hop neighborhood views ({!Distributed} runs that version through
-    the LOCAL-model simulator and returns round/message counts). *)
+    the LOCAL-model simulator and returns round/message counts).
+
+    Each tree depends only on a constant-radius neighborhood, so the
+    per-root work is independent: every entry point below takes
+    [?domains] (default 1) and fans the roots over that many OCaml 5
+    domains through {!Sharded.build} (forced to 1 below 64 vertices).
+    The edge set does not depend on the domain count. *)
 
 open Rs_graph
 
@@ -17,33 +23,33 @@ val r_of_eps : float -> int
 (** [r_of_eps eps = ceil(1/eps) + 1], the dominating-tree radius of
     Proposition 1. Requires [0 < eps <= 1]. *)
 
-val rem_span : Graph.t -> r:int -> beta:int -> Edge_set.t
+val rem_span : ?domains:int -> Graph.t -> r:int -> beta:int -> Edge_set.t
 (** Union of Algorithm-1 greedy (r, beta)-dominating trees. By
     Proposition 1, with [beta = 1] and [r = r_of_eps eps] this is a
     (1+eps, 1-2eps)-remote-spanner. *)
 
-val low_stretch : Graph.t -> eps:float -> Edge_set.t
+val low_stretch : ?domains:int -> Graph.t -> eps:float -> Edge_set.t
 (** Theorem 1: union of Algorithm-2 MIS (r_of_eps eps, 1)-dominating
     trees — a (1+eps, 1-2eps)-remote-spanner with O(eps^-(p+1) n)
     edges on unit ball graphs of doubling dimension p. *)
 
-val exact_distance : Graph.t -> Edge_set.t
+val exact_distance : ?domains:int -> Graph.t -> Edge_set.t
 (** (1, 0)-remote-spanner (exact distances preserved): union of greedy
     (2,0)-dominating trees — the k = 1 case of Theorem 2, also the
     classical multipoint-relay sub-graph. *)
 
-val k_connecting : Graph.t -> k:int -> Edge_set.t
+val k_connecting : ?domains:int -> Graph.t -> k:int -> Edge_set.t
 (** Theorem 2: union of Algorithm-4 trees — a k-connecting
     (1,0)-remote-spanner with edges within [2(1+log Delta)] of
     optimal, O(k^(2/3) n^(4/3) log n) expected edges on random unit
     disk graphs. *)
 
-val two_connecting : Graph.t -> Edge_set.t
+val two_connecting : ?domains:int -> Graph.t -> Edge_set.t
 (** Theorem 3: union of Algorithm-5 trees with k = 2 — a 2-connecting
     (2,-1)-remote-spanner with O(n) edges on unit ball graphs of
     doubling metrics. *)
 
-val k_connecting_mis : Graph.t -> k:int -> Edge_set.t
+val k_connecting_mis : ?domains:int -> Graph.t -> k:int -> Edge_set.t
 (** Union of Algorithm-5 trees for arbitrary k (the paper proves the
     remote-spanner property for k = 2; larger k still yields
     k-connecting dominating trees and is exercised as an extension). *)

@@ -6,8 +6,10 @@ module Obs = Rs_obs.Obs
    domains by the work-stealing driver, and every domain accumulates
    canonical edge ids in a flat int array merged into one Edge_set at
    the end — no O(n) Tree.t per root, no per-tree Edge_set. This is
-   what takes construction from n = 2000 to n = 10^5..10^6; entry
-   points in [Remote_spanner] (domains = 1) and [Parallel] route here.
+   what takes construction from n = 2000 to n = 10^5..10^6; every
+   entry point in [Remote_spanner] routes here. Algorithm 5 ([Mis_k])
+   is the exception to batching: its roots are still fanned out and
+   merged the same way, but each runs its own radius-2 traversal.
 
    Edge sets are identical to the per-root sequential reference for
    any domain count, batch size or root order: each root's tree
@@ -18,6 +20,7 @@ type strategy =
   | Gdy of { r : int; beta : int }
   | Mis of { r : int }
   | Gdy_k of { k : int }
+  | Mis_k of { k : int }
 
 let default_domains () = min 8 (Domain.recommended_domain_count ())
 
@@ -108,13 +111,13 @@ let locality_order g =
 let radius_of = function
   | Gdy { r; beta } -> r + beta
   | Mis { r } -> r
-  | Gdy_k _ -> 2
+  | Gdy_k _ | Mis_k _ -> 2
 
 let validate = function
   | Gdy { r; beta } ->
       if r < 1 || beta < 0 then invalid_arg "Sharded.build: need r >= 1, beta >= 0"
   | Mis { r } -> if r < 1 then invalid_arg "Sharded.build: need r >= 1"
-  | Gdy_k { k } -> if k < 1 then invalid_arg "Sharded.build: need k >= 1"
+  | Gdy_k { k } | Mis_k { k } -> if k < 1 then invalid_arg "Sharded.build: need k >= 1"
 
 (* Per-domain state. Distance, membership and local-remap arrays are
    generation-stamped so per-root reset is O(1); [acc] packs emitted
@@ -127,6 +130,7 @@ type ctx = {
   memb : int array; (* tree membership, stamped per root *)
   mutable mgen : int;
   dead : Bfs.Marks.t; (* MIS removals *)
+  scratch : Bfs.Scratch.t; (* per-root traversal of [Mis_k] *)
   q : int array; (* halo-collection queue (local mode) *)
   lmap : int array; (* global id -> local id, stamped per batch *)
   lstamp : int array;
@@ -145,6 +149,7 @@ let create_ctx n =
     memb = Array.make n 0;
     mgen = 0;
     dead = Bfs.Marks.create ();
+    scratch = Bfs.Scratch.create ();
     q = Array.make n 0;
     lmap = Array.make n 0;
     lstamp = Array.make n 0;
@@ -233,12 +238,26 @@ let process_slot gg ctx strat s ~add_edge =
       Bfs.Marks.clear ctx.dead;
       Dom_tree.mis_emit gg ~r ~levels ~parent_of:(parent_of_csr off nbr ctx) ~mem ~add
         ~dead_mem:(Bfs.Marks.mem ctx.dead) ~dead_add:(Bfs.Marks.set ctx.dead)
+  | Mis_k _ -> assert false (* never swept: see [process_batch] *)
 
 let process_batch g ctx strat roots =
-  Msbfs.run ~radius:(radius_of strat) ctx.ms g roots;
-  for s = 0 to Array.length roots - 1 do
-    process_slot g ctx strat s ~add_edge:(fun p c -> push_acc ctx (Graph.edge_id g p c))
-  done
+  let add_edge p c = push_acc ctx (Graph.edge_id g p c) in
+  match strat with
+  | Mis_k { k } ->
+      (* no Msbfs sweep: the per-root traversal inside [mis_k_edges] is
+         the only one, so bfs/runs match the per-root reference *)
+      Array.iter
+        (fun root ->
+          Obs.incr c_trees;
+          List.iter
+            (fun (p, c) -> add_edge p c)
+            (Dom_tree_k.mis_k_edges ~scratch:ctx.scratch g ~k root))
+        roots
+  | Gdy _ | Mis _ | Gdy_k _ ->
+      Msbfs.run ~radius:(radius_of strat) ctx.ms g roots;
+      for s = 0 to Array.length roots - 1 do
+        process_slot g ctx strat s ~add_edge
+      done
 
 (* Local (shard-isolated) batch: materialize the induced sub-graph on
    the batch's roots plus a (radius-1)-halo and run the whole batch
@@ -339,6 +358,7 @@ let process_batch_local g ctx strat roots =
 
 let build ?domains ?order ?chunk ?(local = false) g strat =
   validate strat;
+  let local = local && match strat with Mis_k _ -> false | _ -> true in
   let n = Graph.n g in
   let domains = match domains with Some d -> max 1 d | None -> default_domains () in
   let domains = if n < 64 then 1 else domains in

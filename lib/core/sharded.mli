@@ -24,18 +24,19 @@ open Rs_graph
 
 (** Which per-root tree to build: [Gdy] = Algorithm 1
     ({!Dom_tree.gdy}), [Mis] = Algorithm 2 ({!Dom_tree.mis}),
-    [Gdy_k] = Algorithm 4 ({!Dom_tree_k.gdy_k}). *)
+    [Gdy_k] = Algorithm 4 ({!Dom_tree_k.gdy_k}), [Mis_k] = Algorithm 5
+    ({!Dom_tree_k.mis_k}). [Mis_k] roots are not batched through the
+    multi-source BFS: each runs {!Dom_tree_k.mis_k_edges} on its own
+    radius-2 traversal (fanned over domains and merged like the rest),
+    and [?local] has no effect on it. *)
 type strategy =
   | Gdy of { r : int; beta : int }
   | Mis of { r : int }
   | Gdy_k of { k : int }
+  | Mis_k of { k : int }
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count], capped at 8. *)
-
-val record_domain : int -> float -> unit
-(** [record_domain items wall_s] feeds the [parallel/domain_items] and
-    [parallel/domain_wall_s] histograms (no-op when metrics are off). *)
 
 val drive :
   ?chunk:int -> n:int -> domains:int -> stop:(unit -> bool) ->
@@ -43,9 +44,11 @@ val drive :
 (** Work-stealing scheduler over the range [0, n): each of [domains]
     domains (the calling one included) runs the worker with a [claim]
     function handing out inclusive chunks until the range is empty or
-    [stop ()] is true; the worker returns its item count, recorded via
-    {!record_domain}. [~chunk] overrides the auto-sized chunk (use [1]
-    when each index is already a coarse unit of work). *)
+    [stop ()] is true; the worker returns its item count, recorded
+    with the domain's wall time in the [parallel/domain_items] and
+    [parallel/domain_wall_s] histograms. [~chunk] overrides the
+    auto-sized chunk (use [1] when each index is already a coarse unit
+    of work). *)
 
 val locality_order : Graph.t -> int array
 (** Multi-restart BFS visit order: a permutation in which consecutive

@@ -28,8 +28,56 @@ let remote_spanner_violations ?(max_violations = 10) g h ~alpha ~beta =
   done;
   List.rev !acc
 
-let is_remote_spanner g h ~alpha ~beta =
-  remote_spanner_violations ~max_violations:1 g h ~alpha ~beta = []
+(* Same predicate as [remote_spanner_violations ~max_violations:1 = []]
+   (the reference tests compare against), on two reusable traversal
+   scratches per domain and without materializing violations. The
+   per-source checks are independent, so sources fan out over domains;
+   the first violation anywhere stops every domain at its next source. *)
+let is_remote_spanner ?(domains = 1) g h ~alpha ~beta =
+  let n = Graph.n g in
+  let h_adj = Edge_set.to_adjacency h in
+  let ok = Atomic.make true in
+  let check_source sg sh u =
+    Bfs.Scratch.run sg g u;
+    Bfs.Scratch.run_augmented sh g h_adj u;
+    let violated = ref false in
+    let count = Bfs.Scratch.visited_count sg in
+    let i = ref 0 in
+    while (not !violated) && !i < count do
+      let v = Bfs.Scratch.visited sg !i in
+      let d_g = Bfs.Scratch.dist sg v in
+      if d_g > 1 then begin
+        let d_h = Bfs.Scratch.dist sh v in
+        let bound = (alpha *. float_of_int d_g) +. beta in
+        if d_h < 0 || float_of_int d_h > bound +. 1e-9 then violated := true
+      end;
+      incr i
+    done;
+    if !violated then Atomic.set ok false
+  in
+  (* one pair of scratches per domain, reused across its chunks *)
+  let sweeper () =
+    let sg = Bfs.Scratch.create () and sh = Bfs.Scratch.create () in
+    fun lo hi ->
+      let u = ref lo in
+      while Atomic.get ok && !u <= hi do
+        check_source sg sh !u;
+        incr u
+      done;
+      !u - lo
+  in
+  if domains <= 1 || n < 64 then ignore (sweeper () 0 (n - 1))
+  else
+    Rs_obs.Obs.with_span "parallel/is_remote_spanner" (fun () ->
+        Sharded.drive ~n ~domains
+          ~stop:(fun () -> not (Atomic.get ok))
+          (fun claim ->
+            let sweep = sweeper () in
+            let rec loop items =
+              match claim () with None -> items | Some (lo, hi) -> loop (items + sweep lo hi)
+            in
+            loop 0));
+  Atomic.get ok
 
 type histogram = {
   pairs : int;

@@ -23,7 +23,14 @@ val remote_spanner_violations :
     (up to [max_violations], default 10). Empty iff H is an
     (alpha, beta)-remote-spanner. O(n (n + m)). *)
 
-val is_remote_spanner : Graph.t -> Edge_set.t -> alpha:float -> beta:float -> bool
+val is_remote_spanner :
+  ?domains:int -> Graph.t -> Edge_set.t -> alpha:float -> beta:float -> bool
+(** [remote_spanner_violations ~max_violations:1 g h ~alpha ~beta = []],
+    computed on reusable traversal scratches and stopping at the first
+    violation. With [?domains] (default 1; forced to 1 below 64
+    vertices) the independent per-source checks are fanned over that
+    many OCaml 5 domains by {!Sharded.drive}, and a violation found by
+    one domain stops the others at their next source. *)
 
 type histogram = {
   pairs : int;  (** ordered non-adjacent connected pairs measured *)

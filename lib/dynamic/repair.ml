@@ -299,7 +299,9 @@ let seed_depths st ~old_g ~new_g ~seeds ~radius =
    (b)  the clean trees on the fringe of the dirty region — computed at
         the spec's {e true} locality radius, so empty by default and
         exactly the at-risk annulus under an under-estimated
-        [?dirty_radius] — are still dominating;
+        [?dirty_radius] — are still the tree a fresh build picks (a
+        fresh tree is dominating by construction, so this is stronger
+        than domination and keeps the state equal to [build]);
    (c)  every recomputed tree is dominating.
    Roots beyond the fringe see an unchanged ball and keep a tree whose
    edges all survive, so they need no check. Each test runs over one
@@ -307,8 +309,9 @@ let seed_depths st ~old_g ~new_g ~seeds ~radius =
 let gates_pass st g' ~removed ~fringe ~recomputed =
   Obs.with_span "gates" @@ fun () ->
   let ok u = tree_ok st.spec ~scratch:st.verify_scratch g' u st.tree_edges.(u) in
+  let fresh u = tree_of st.spec ~scratch:st.verify_scratch g' u = st.tree_edges.(u) in
   List.for_all (fun p -> not (Hashtbl.mem st.counts p)) removed
-  && List.for_all (fun u -> Hashtbl.mem recomputed u || ok u) fringe
+  && List.for_all (fun u -> Hashtbl.mem recomputed u || fresh u) fringe
   && Hashtbl.fold (fun u () acc -> acc && ok u) recomputed true
 
 let apply_net ?dirty_radius st (net : Delta.net) =

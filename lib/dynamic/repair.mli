@@ -22,8 +22,8 @@
       refcount crossed zero) instead of rebuilding it;
     + verifying the repair with a {e local} gate — no retained tree
       uses a removed edge, the clean trees on the dirty fringe are
-      still dominating, and so is every recomputed tree, each checked
-      over its own root's ball — and {e escalating} when verification
+      still the trees a fresh build picks, and every recomputed tree
+      is dominating, each checked over its own root's ball — and {e escalating} when verification
       fails: dirty set -> 2-hop closure -> full rebuild (the ladder).
       Propositions 1 and 5 make the gate sufficient: a union in which
       every root has a dominating tree is an (alpha, beta)-remote-
@@ -38,12 +38,12 @@
     {!Rs_graph.Edge_set.rehost}; nothing sorts, hashes or lists the
     whole graph or spanner.
 
-    With the correct locality radius the ladder never escalates and
-    the repaired spanner is identical, root tree by root tree, to a
+    The repaired spanner is identical, root tree by root tree, to a
     from-scratch build on the new graph (the equivalence property
-    tests assert exactly this); the ladder exists so that an
-    under-estimated radius (see [?dirty_radius]) degrades to a wider,
-    costlier — but still verified — repair instead of a wrong one. *)
+    tests assert exactly this). With the correct locality radius the
+    ladder never escalates; it exists so that an under-estimated
+    radius (see [?dirty_radius]) degrades to a wider, costlier repair
+    with the same result instead of a wrong one. *)
 
 open Rs_graph
 
@@ -148,7 +148,9 @@ val apply : ?dirty_radius:int -> t -> Delta.t -> outcome
 
     [?dirty_radius] overrides the spec's locality radius — a testing
     and experimentation hook: an under-estimate makes the local gate
-    fail and exercises the escalation ladder. *)
+    fail and exercises the escalation ladder. Whatever the radius, the
+    result equals {!build} on the new graph, not merely a verified
+    remote-spanner. *)
 
 val apply_net : ?dirty_radius:int -> t -> Delta.net -> outcome
 (** {!apply} for a delta already resolved against {!graph} (its [base]

@@ -5,6 +5,7 @@ module Store = Rs_store.Store
 module Wal = Rs_store.Wal
 module Snapshot = Rs_store.Snapshot
 module Binio = Rs_store.Binio
+module Fsutil = Rs_store.Fsutil
 module Crc32 = Rs_graph.Crc32
 module Rand = Rs_graph.Rand
 
@@ -21,12 +22,6 @@ let c_snapshot_bytes = Obs.counter "replica/snapshot_bytes"
 let c_stream_rejects = Obs.counter "replica/stream_rejects"
 let g_lag = Obs.gauge "replica/lag"
 let g_connected = Obs.gauge "replica/connected"
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let shutdown_quiet fd =
@@ -126,7 +121,7 @@ let tail_seek t =
   match holder with
   | None -> false
   | Some (fs, path) -> (
-      match In_channel.with_open_bin path In_channel.input_all with
+      match Fsutil.read_file path with
       | exception Sys_error _ -> false
       | s ->
           let pos = ref Wal.header_len in
@@ -263,7 +258,7 @@ let ship_session ld dir fd hello =
       match newest_snapshot dir with
       | None -> send_quiet ld fd (msg_err "no snapshot available to ship")
       | Some (seq, path) -> (
-          match In_channel.with_open_bin path In_channel.input_all with
+          match Fsutil.read_file path with
           | exception Sys_error m -> send_quiet ld fd (msg_err ("cannot read snapshot: " ^ m))
           | bytes ->
               let total = String.length bytes in
@@ -475,7 +470,7 @@ let lead ?config ?proto_env ?server ~service ~store_dir ~host ~port () =
     match store_dir with
     | None -> 1
     | Some dir ->
-        mkdir_p dir;
+        Fsutil.mkdir_p dir;
         let e = max 1 (read_epoch ~dir) in
         write_epoch ~dir e;
         e
@@ -552,7 +547,7 @@ let find_part dir =
 
 let ship ?(chunk_hint = 0) ?(timeout_s = 10.0) ~host ~port ~dir () =
   ignore chunk_hint;
-  mkdir_p dir;
+  Fsutil.mkdir_p dir;
   let offset, snap_seq_req =
     match find_part dir with Some (_, size, seq) -> (size, seq) | None -> (0, 0)
   in
@@ -628,9 +623,7 @@ let ship ?(chunk_hint = 0) ?(timeout_s = 10.0) ~host ~port ~dir () =
                           (Printf.sprintf "ship incomplete: %d of %d bytes" !written
                              total)
                       else
-                        let bytes =
-                          In_channel.with_open_bin part In_channel.input_all
-                        in
+                        let bytes = Fsutil.read_file part in
                         if Crc32.of_string bytes <> crc then begin
                           (* a torn or corrupted partial: discard so the
                              next attempt starts clean *)
@@ -1014,7 +1007,7 @@ let health_writer r ~path ~every_s () =
 
 let follow ?config ?health_file ~service_config ~dir ~host ~port () =
   let cfg = match config with Some c -> c | None -> default_replica_config () in
-  mkdir_p dir;
+  Fsutil.mkdir_p dir;
   (* bootstrap: an empty directory gets the leader's newest snapshot
      (resumable across torn attempts); an existing store resumes *)
   let rec bootstrap attempt =

@@ -2,13 +2,10 @@ open Rs_graph
 open Rs_dynamic
 module Store = Rs_store.Store
 module Wal = Rs_store.Wal
-module Verify = Rs_core.Verify
+module Fsutil = Rs_store.Fsutil
+open Rs_store.Harness
 
-let names =
-  [ "kill-writer-mid-repair"; "torn-wal-restart"; "queue-saturation";
-    "wedged-writer-failover" ]
-
-type failure = { scenario : string; reason : string }
+type failure = Rs_store.Harness.failure = { scenario : string; reason : string }
 
 type report = {
   scenarios : int;
@@ -31,114 +28,10 @@ let pp_report fmt r =
     r.failures;
   Format.fprintf fmt "@]"
 
-(* {1 Filesystem scratchpads} — same flat-directory helpers as the
-   crash harness *)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let copy_dir src dst =
-  rm_rf dst;
-  mkdir_p dst;
-  Array.iter
-    (fun name ->
-      let data = In_channel.with_open_bin (Filename.concat src name) In_channel.input_all in
-      Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
-          Out_channel.output_string oc data))
-    (Sys.readdir src)
-
-let truncate_file path len = Unix.truncate path len
-
-(* {1 Random churn} — the crash harness's op mix *)
-
-let random_op rand g =
-  let n = Graph.n g in
-  let m = Graph.m g in
-  let pick () = Rand.int rand n in
-  match Rand.int rand 100 with
-  | r when r < 45 || m = 0 ->
-      let rec go tries =
-        let u = pick () and v = pick () in
-        if u = v then go tries
-        else if Graph.mem_edge g u v && tries > 0 then go (tries - 1)
-        else Delta.Add_edge (u, v)
-      in
-      go 8
-  | r when r < 80 ->
-      let u, v = Graph.edge g (Rand.int rand m) in
-      Delta.Remove_edge (u, v)
-  | r when r < 90 -> Delta.Node_down (pick ())
-  | _ ->
-      let u = pick () in
-      let links =
-        List.init
-          (1 + Rand.int rand 3)
-          (fun _ ->
-            let rec go () =
-              let v = pick () in
-              if v = u then go () else v
-            in
-            go ())
-        |> List.sort_uniq compare
-      in
-      Delta.Node_up (u, links)
-
-let random_delta rand g =
-  let rec go tries =
-    let ops = List.init (1 + Rand.int rand 3) (fun _ -> random_op rand g) in
-    match Delta.effect g ops with
-    | [], [] when tries > 0 -> go (tries - 1)
-    | _ -> ops
-  in
-  go 16
-
-(* {1 Gates} *)
-
-let wait_until ?(timeout = 20.0) ~what pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    if pred () then ()
-    else if Unix.gettimeofday () -. t0 > timeout then
-      failwith ("timed out waiting for " ^ what)
-    else begin
-      Unix.sleepf 0.002;
-      go ()
-    end
-  in
-  go ()
-
 let degraded svc =
   match (Service.status svc).Service.s_state with
   | Service.Degraded _ -> true
   | Service.Serving | Service.Rebuilding -> false
-
-(* The recovery gate of the crash harness, applied to a live view: the
-   surviving spanners must equal a from-scratch build on the surviving
-   graph and honor their paper guarantee. *)
-let verify_state ~what g spanners =
-  List.iter
-    (fun (spec, sp) ->
-      if Edge_set.to_list sp <> Edge_set.to_list (Repair.build spec g) then
-        failwith
-          (Format.asprintf "%s: %a spanner diverges from a from-scratch build"
-             what Repair.pp_spec spec);
-      match Repair.alpha_beta spec with
-      | Some (alpha, beta) ->
-          if not (Verify.is_remote_spanner g sp ~alpha ~beta) then
-            failwith
-              (Format.asprintf "%s: %a spanner violates its (%.1f, %.1f) guarantee"
-                 what Repair.pp_spec spec alpha beta)
-      | None -> ())
-    spanners
 
 (* {1 Concurrent client load} — real reader traffic during every
    scenario; a [Bad_request] or a hung await is a harness failure *)
@@ -146,61 +39,54 @@ let verify_state ~what g spanners =
 type clients = {
   cl_served : int Atomic.t;
   cl_stale : int Atomic.t;
-  cl_soft : int Atomic.t;  (** timeouts and overload rejections — allowed *)
-  cl_bad_m : Mutex.t;
-  mutable cl_bad : string list;
   cl_stop : bool Atomic.t;
-  mutable cl_domains : unit Domain.t array;
+  cl_domains : string list Domain.t array;  (** each returns its [Bad_request]s *)
 }
 
 let spawn_clients svc ~seed ~n ~count =
-  let cl =
-    { cl_served = Atomic.make 0; cl_stale = Atomic.make 0; cl_soft = Atomic.make 0;
-      cl_bad_m = Mutex.create (); cl_bad = []; cl_stop = Atomic.make false;
-      cl_domains = [||] }
+  let served = Atomic.make 0 and stale = Atomic.make 0 and stop = Atomic.make false in
+  let reader i () =
+    let rand = Rand.create (seed + (7919 * (i + 1))) in
+    let bad = ref [] in
+    while not (Atomic.get stop) do
+      let q =
+        match Rand.int rand 4 with
+        | 0 -> Service.Stats
+        | 1 -> Service.Status
+        | 2 -> Service.Route { src = Rand.int rand n; dst = Rand.int rand n }
+        | _ -> Service.Advert (Rand.int rand n)
+      in
+      let r = Service.query ~deadline_s:2.0 svc q in
+      (match r.Service.answer with
+      | Ok _ ->
+          Atomic.incr served;
+          if r.Service.stale then Atomic.incr stale
+      (* timeouts and overload rejections are allowed *)
+      | Error (Service.Timeout | Service.Overloaded _) -> ()
+      | Error (Service.Bad_request m) -> bad := m :: !bad);
+      Unix.sleepf 0.001
+    done;
+    !bad
   in
-  cl.cl_domains <-
-    Array.init count (fun i ->
-        Domain.spawn (fun () ->
-            let rand = Rand.create (seed + (7919 * (i + 1))) in
-            while not (Atomic.get cl.cl_stop) do
-              let q =
-                match Rand.int rand 4 with
-                | 0 -> Service.Stats
-                | 1 -> Service.Status
-                | 2 -> Service.Route { src = Rand.int rand n; dst = Rand.int rand n }
-                | _ -> Service.Advert (Rand.int rand n)
-              in
-              let r = Service.query ~deadline_s:2.0 svc q in
-              (match r.Service.answer with
-              | Ok _ ->
-                  Atomic.incr cl.cl_served;
-                  if r.Service.stale then Atomic.incr cl.cl_stale
-              | Error (Service.Timeout | Service.Overloaded _) ->
-                  Atomic.incr cl.cl_soft
-              | Error (Service.Bad_request m) ->
-                  Mutex.lock cl.cl_bad_m;
-                  cl.cl_bad <- m :: cl.cl_bad;
-                  Mutex.unlock cl.cl_bad_m);
-              Unix.sleepf 0.001
-            done));
-  cl
+  { cl_served = served; cl_stale = stale; cl_stop = stop;
+    cl_domains = Array.init count (fun i -> Domain.spawn (reader i)) }
 
 let join_clients cl =
   Atomic.set cl.cl_stop true;
-  Array.iter Domain.join cl.cl_domains;
-  match cl.cl_bad with
-  | [] -> ()
-  | m :: _ ->
+  match List.concat_map Domain.join (Array.to_list cl.cl_domains) with
+  | [] -> (Atomic.get cl.cl_served, Atomic.get cl.cl_stale)
+  | m :: _ as bad ->
       failwith
-        (Printf.sprintf "clients saw %d Bad_request responses (e.g. %s)"
-           (List.length cl.cl_bad) m)
+        (Printf.sprintf "clients saw %d Bad_request responses (e.g. %s)" (List.length bad) m)
 
-type outcome = { o_queries : int; o_stale : int; o_rejected : int; o_failovers : int }
+(* a scenario's counts; [run] sums them *)
+let empty =
+  { scenarios = 0; queries_ok = 0; stale_served = 0; rejections = 0; failovers = 0;
+    failures = [] }
 
-let outcome_of cl (st : Service.status) =
-  { o_queries = Atomic.get cl.cl_served; o_stale = Atomic.get cl.cl_stale;
-    o_rejected = st.Service.s_rejected; o_failovers = st.Service.s_failovers }
+let outcome_of (served, stale) (st : Service.status) =
+  { empty with queries_ok = served; stale_served = stale;
+    rejections = st.Service.s_rejected; failovers = st.Service.s_failovers }
 
 (* {1 Scenarios} *)
 
@@ -211,7 +97,7 @@ let outcome_of cl (st : Service.status) =
 let kill_writer_mid_repair ~rand ~specs ~n ~batches ~dir =
   let g0 = Gen.random_connected rand n (4.0 /. float_of_int n) in
   let base = Filename.concat dir "kill-writer-mid-repair" in
-  rm_rf base;
+  Fsutil.rm_rf base;
   let store = Store.create ~policy:Wal.Always ~segment_bytes:512 ~dir:base ~specs g0 in
   let crash_at = 1 + (batches / 2) in
   let crashed = Atomic.make false in
@@ -248,10 +134,10 @@ let kill_writer_mid_repair ~rand ~specs ~n ~batches ~dir =
   (match Service.offer svc [ Delta.Add_edge (0, 1) ] with
   | Error _ -> ()
   | Ok () -> failwith "degraded service accepted a delta it can never apply");
-  join_clients cl;
+  let counts = join_clients cl in
   Service.kill svc;
   let copy = base ^ "-recover" in
-  copy_dir base copy;
+  Fsutil.copy_dir base copy;
   let st2, info = Store.recover ~policy:Wal.Always ~verify:true ~dir:copy () in
   if info.Store.last_seq <> crash_at then
     failwith
@@ -276,7 +162,7 @@ let kill_writer_mid_repair ~rand ~specs ~n ~batches ~dir =
   let g_fin, spanners = Service.peek svc2 in
   verify_state ~what:"kill-writer-mid-repair" g_fin spanners;
   let st = Service.stop svc2 in
-  outcome_of cl st
+  outcome_of counts st
 
 (* SIGKILL without a clean close, then a torn WAL tail: recovery keeps
    the verified prefix; re-offering the lost delta converges back to
@@ -284,7 +170,7 @@ let kill_writer_mid_repair ~rand ~specs ~n ~batches ~dir =
 let torn_wal_restart ~rand ~specs ~n ~batches ~dir =
   let g0 = Gen.random_connected rand n (4.0 /. float_of_int n) in
   let base = Filename.concat dir "torn-wal-restart" in
-  rm_rf base;
+  Fsutil.rm_rf base;
   let store = Store.create ~policy:Wal.Always ~segment_bytes:512 ~dir:base ~specs g0 in
   let cfg =
     { Service.default_config with readers = 2; batch_max = 1; watchdog_s = 0. }
@@ -302,11 +188,11 @@ let torn_wal_restart ~rand ~specs ~n ~batches ~dir =
     | Error e -> failwith ("offer rejected: " ^ e));
     wait_until ~what:"delta ingest" (fun () -> Service.ingested_seq svc >= i)
   done;
-  join_clients cl;
+  let counts = join_clients cl in
   Service.kill svc;
   (* Wal.Always means every record reached the kernel before the kill *)
   let copy = base ^ "-recover" in
-  copy_dir base copy;
+  Fsutil.copy_dir base copy;
   let scan = Wal.scan_dir ~dir:copy ~after_seq:0 in
   (match scan.Wal.truncation with
   | Some tr ->
@@ -320,7 +206,7 @@ let torn_wal_restart ~rand ~specs ~n ~batches ~dir =
   if last.Wal.seq <> batches then
     failwith (Printf.sprintf "WAL tail is seq %d, expected %d" last.Wal.seq batches);
   (* tear the tail record mid-header *)
-  truncate_file last.Wal.file (last.Wal.offset + 8);
+  Unix.truncate last.Wal.file (last.Wal.offset + 8);
   let st2, info = Store.recover ~policy:Wal.Always ~verify:true ~dir:copy () in
   if info.Store.truncated = None then failwith "recovery did not report the torn tail";
   if info.Store.last_seq <> batches - 1 then
@@ -346,7 +232,7 @@ let torn_wal_restart ~rand ~specs ~n ~batches ~dir =
     failwith "restarted service did not converge back to the reference topology";
   verify_state ~what:"torn-wal-restart" g_fin spanners;
   let st = Service.stop svc2 in
-  outcome_of cl st
+  outcome_of counts st
 
 (* A tiny ingest queue, a slowed writer and a forced-escalation repair
    config under a flood: overload must surface as explicit rejections
@@ -401,14 +287,14 @@ let queue_saturation ~rand ~specs ~n ~batches:_ ~dir:_ =
   wait_until ~timeout:60.0 ~what:"drain after the flood" (fun () ->
       (Service.status svc).Service.s_queue = 0
       && Service.ingested_seq svc = Service.view_seq svc);
-  join_clients cl;
+  let counts = join_clients cl in
   let st = Service.stop svc in
-  if not (!saw_stale || st.Service.s_stale_reads > 0 || Atomic.get cl.cl_stale > 0)
+  if not (!saw_stale || st.Service.s_stale_reads > 0 || snd counts > 0)
   then failwith "no stale-flagged read was observed under overload";
   let g_fin, spanners = Service.peek svc in
   verify_state ~what:"queue-saturation" g_fin spanners;
-  let o = outcome_of cl st in
-  { o with o_rejected = max o.o_rejected !rejected }
+  let o = outcome_of counts st in
+  { o with rejections = max o.rejections !rejected }
 
 (* The writer blocks forever mid-batch: the watchdog must bump the
    epoch, fail over to a rebuilt writer, and the service must resume
@@ -448,7 +334,7 @@ let wedged_writer_failover ~rand ~specs ~n ~batches ~dir:_ =
   done;
   wait_until ~what:"post-failover publication" (fun () ->
       Service.view_seq svc = Service.ingested_seq svc);
-  join_clients cl;
+  let counts = join_clients cl in
   let st = Service.stop svc in
   if st.Service.s_failovers <> 1 then
     failwith (Printf.sprintf "%d failovers recorded, expected exactly 1" st.Service.s_failovers);
@@ -457,42 +343,26 @@ let wedged_writer_failover ~rand ~specs ~n ~batches ~dir:_ =
   let g_fin, spanners = Service.peek svc in
   verify_state ~what:"wedged-writer-failover" g_fin spanners;
   Atomic.set release true;
-  outcome_of cl st
+  outcome_of counts st
 
 (* {1 The plan} *)
 
+let table =
+  [ ("kill-writer-mid-repair", kill_writer_mid_repair);
+    ("torn-wal-restart", torn_wal_restart);
+    ("queue-saturation", queue_saturation);
+    ("wedged-writer-failover", wedged_writer_failover) ]
+
+let names = List.map fst table
+
 let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?only ~seed ~n
     ~batches ~dir () =
-  if batches < 4 then invalid_arg "Chaos.run: need at least 4 batches";
-  (match only with
-  | Some s when not (List.mem s names) ->
-      invalid_arg
-        (Printf.sprintf "Chaos.run: unknown scenario %s (known: %s)" s
-           (String.concat ", " names))
-  | _ -> ());
-  mkdir_p dir;
-  let rand = Rand.create seed in
-  let scenarios = ref 0 in
-  let queries = ref 0 and stale = ref 0 and rejected = ref 0 and failovers = ref 0 in
-  let failures = ref [] in
-  let scenario name f =
-    if only = None || only = Some name then begin
-      incr scenarios;
-      match f ~rand ~specs ~n ~batches ~dir with
-      | o ->
-          queries := !queries + o.o_queries;
-          stale := !stale + o.o_stale;
-          rejected := !rejected + o.o_rejected;
-          failovers := !failovers + o.o_failovers
-      | exception Failure reason -> failures := { scenario = name; reason } :: !failures
-      | exception e ->
-          failures :=
-            { scenario = name; reason = Printexc.to_string e } :: !failures
-    end
+  let scenarios, r, failures =
+    run_scenarios ~harness:"Chaos" ?only ~seed ~specs ~n ~batches ~dir table ~init:empty
+      ~fold:(fun r o ->
+        { r with queries_ok = r.queries_ok + o.queries_ok;
+          stale_served = r.stale_served + o.stale_served;
+          rejections = r.rejections + o.rejections;
+          failovers = r.failovers + o.failovers })
   in
-  scenario "kill-writer-mid-repair" kill_writer_mid_repair;
-  scenario "torn-wal-restart" torn_wal_restart;
-  scenario "queue-saturation" queue_saturation;
-  scenario "wedged-writer-failover" wedged_writer_failover;
-  { scenarios = !scenarios; queries_ok = !queries; stale_served = !stale;
-    rejections = !rejected; failovers = !failovers; failures = List.rev !failures }
+  { r with scenarios; failures }

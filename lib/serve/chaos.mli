@@ -37,6 +37,18 @@ open Rs_dynamic
 val names : string list
 (** The scenario names above, in run order. *)
 
+type clients
+
+val spawn_clients : Service.t -> seed:int -> n:int -> count:int -> clients
+(** [count] reader domains (seeded from [seed]) querying the service
+    in a loop — stats, status, routes and adverts over vertex ids
+    below [n] — until {!join_clients}. *)
+
+val join_clients : clients -> int * int
+(** Stop and join the readers; returns (queries answered [Ok], of
+    which stale-flagged). Raises [Failure] if any reader got a
+    [Bad_request]; timeouts and overload rejections are allowed. *)
+
 type failure = { scenario : string; reason : string }
 
 type report = {

@@ -20,32 +20,7 @@ let pp_report fmt r =
   List.iter (fun f -> Format.fprintf fmt "@,FAIL %s: %s" f.case f.reason) r.failures;
   Format.fprintf fmt "@]"
 
-(* {1 Filesystem scratchpads} *)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-(* store directories are flat — plain file-by-file copy suffices *)
-let copy_dir src dst =
-  rm_rf dst;
-  mkdir_p dst;
-  Array.iter
-    (fun name ->
-      let data = In_channel.with_open_bin (Filename.concat src name) In_channel.input_all in
-      Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
-          Out_channel.output_string oc data))
-    (Sys.readdir src)
-
-let truncate_file path len = Unix.truncate path len
+(* {1 Damage} *)
 
 let flip_byte path off =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
@@ -57,51 +32,6 @@ let flip_byte path off =
   if Unix.write fd b 0 1 <> 1 then failwith "flip_byte: short write";
   Unix.close fd
 
-(* {1 Random history} *)
-
-let random_op rand g =
-  let n = Graph.n g in
-  let m = Graph.m g in
-  let pick () = Rand.int rand n in
-  match Rand.int rand 100 with
-  | r when r < 45 || m = 0 ->
-      (* an absent pair is overwhelmingly likely in sparse graphs; a
-         few tries suffice, and a present pair is still a valid op *)
-      let rec go tries =
-        let u = pick () and v = pick () in
-        if u = v then go tries
-        else if Graph.mem_edge g u v && tries > 0 then go (tries - 1)
-        else Delta.Add_edge (u, v)
-      in
-      go 8
-  | r when r < 80 ->
-      let u, v = Graph.edge g (Rand.int rand m) in
-      Delta.Remove_edge (u, v)
-  | r when r < 90 -> Delta.Node_down (pick ())
-  | _ ->
-      let u = pick () in
-      let links =
-        List.init
-          (1 + Rand.int rand 3)
-          (fun _ ->
-            let rec go () =
-              let v = pick () in
-              if v = u then go () else v
-            in
-            go ())
-        |> List.sort_uniq compare
-      in
-      Delta.Node_up (u, links)
-
-let random_delta rand g =
-  let rec go tries =
-    let ops = List.init (1 + Rand.int rand 3) (fun _ -> random_op rand g) in
-    match Delta.effect g ops with
-    | [], [] when tries > 0 -> go (tries - 1)
-    | _ -> ops
-  in
-  go 16
-
 (* {1 The plan} *)
 
 type expect = Seq of int  (** best recoverable sequence number *)
@@ -112,15 +42,15 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
   let rand = Rand.create seed in
   let g0 = Gen.random_connected rand n (4.0 /. float_of_int n) in
   let base = Filename.concat dir "base" in
-  mkdir_p dir;
-  rm_rf base;
+  Fsutil.mkdir_p dir;
+  Fsutil.rm_rf base;
   (* tiny segments force multi-segment histories, so cross-segment
      anomalies (gaps after a truncated tail) are actually exercised *)
   let store = Store.create ~policy:Wal.Always ~segment_bytes:256 ~dir:base ~specs g0 in
   let mid = batches / 2 in
   let expected = Array.make (batches + 1) g0 in
   for s = 1 to batches do
-    let delta = random_delta rand (Store.graph store) in
+    let delta = Harness.random_delta rand (Store.graph store) in
     ignore (Store.append store delta);
     if Store.seq store <> s then
       failwith (Printf.sprintf "Crash.run: append %d landed at seq %d" s (Store.seq store));
@@ -142,7 +72,7 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
       (Printf.sprintf "Crash.run: pristine WAL holds %d records, appended %d"
          (Array.length records) batches);
   let record_len r =
-    let s = In_channel.with_open_bin r.Wal.file In_channel.input_all in
+    let s = Fsutil.read_file r.Wal.file in
     16 + (Int32.to_int (String.get_int32_le s r.Wal.offset) land 0xFFFFFFFF)
   in
   let last_record = records.(batches - 1) in
@@ -168,13 +98,13 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
      start (the post-write-pre-fsync boundary crash) *)
   let lr_len = record_len last_record in
   add "torn-tail-boundary"
-    (fun d -> truncate_file (Filename.concat d (Filename.basename last_seg)) last_record.Wal.offset)
+    (fun d -> Unix.truncate (Filename.concat d (Filename.basename last_seg)) last_record.Wal.offset)
     (Seq (best_without last_record.Wal.seq));
   for i = 1 to sites do
     let cut = last_record.Wal.offset + 1 + Rand.int rand (lr_len - 1) in
     add
       (Printf.sprintf "torn-tail-mid-%d" i)
-      (fun d -> truncate_file (Filename.concat d (Filename.basename last_seg)) cut)
+      (fun d -> Unix.truncate (Filename.concat d (Filename.basename last_seg)) cut)
       (Seq (best_without last_record.Wal.seq))
   done;
   (* several records lost at once: cut at an earlier record boundary in
@@ -184,12 +114,12 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
   | first_in_last :: _ when List.length in_last_seg >= 2 ->
       add "lost-unsynced-tail"
         (fun d ->
-          truncate_file (Filename.concat d (Filename.basename last_seg)) first_in_last.Wal.offset)
+          Unix.truncate (Filename.concat d (Filename.basename last_seg)) first_in_last.Wal.offset)
         (Seq (best_without first_in_last.Wal.seq))
   | _ -> ());
   (* torn segment header on the last segment *)
   add "torn-segment-header"
-    (fun d -> truncate_file (Filename.concat d (Filename.basename last_seg)) 8)
+    (fun d -> Unix.truncate (Filename.concat d (Filename.basename last_seg)) 8)
     (Seq
        (best_without
           (match in_last_seg with r :: _ -> r.Wal.seq | [] -> last_record.Wal.seq)));
@@ -214,7 +144,7 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
     let cut = 1 + Rand.int rand (snap_size - 1) in
     add
       (Printf.sprintf "snapshot-truncated-%d" i)
-      (fun d -> truncate_file (Filename.concat d snap_base) cut)
+      (fun d -> Unix.truncate (Filename.concat d snap_base) cut)
       (Seq batches)
   done;
   add "snapshot-bitflip"
@@ -233,7 +163,7 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
   List.iter
     (fun (name, mutate, Seq want) ->
       let d = Filename.concat dir ("case-" ^ name) in
-      copy_dir base d;
+      Fsutil.copy_dir base d;
       mutate d;
       match Store.recover ~verify:true ~dir:d () with
       | exception Failure reason -> fail name ("recovery failed: " ^ reason)
@@ -247,7 +177,7 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
             fail name (Printf.sprintf "recovered graph at seq %d differs from live history" seq)
           else begin
             if seq = batches then incr exact else incr prefix;
-            rm_rf d
+            Fsutil.rm_rf d
           end)
     case_list;
 
@@ -255,7 +185,7 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
      bytes of the live state at close *)
   let round_trip_ok =
     let d = Filename.concat dir "case-round-trip" in
-    copy_dir base d;
+    Fsutil.copy_dir base d;
     match Store.recover ~verify:true ~dir:d () with
     | exception Failure reason ->
         fail "round-trip" ("recovery failed: " ^ reason);
@@ -272,7 +202,7 @@ let run ?(specs = [ Repair.Gdy_k { k = 1 }; Repair.Mis { r = 2 } ]) ?(sites = 4)
           false
         end
         else begin
-          rm_rf d;
+          Fsutil.rm_rf d;
           true
         end
   in

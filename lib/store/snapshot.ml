@@ -38,7 +38,7 @@ let add_section buf ~kind payload =
   Binio.w_u32 buf kind;
   Binio.w_u32 buf (String.length payload);
   Buffer.add_string buf payload;
-  Binio.w_u32 buf (Crc32.of_string payload)
+  Binio.w_u32 buf (Rs_graph.Crc32.of_string payload)
 
 let encode_spanner sp =
   let buf = Buffer.create 1024 in
@@ -139,7 +139,7 @@ let of_string s =
     let len = Binio.r_u32 r in
     let payload = Binio.r_string r ~len in
     let crc = Binio.r_u32 r in
-    if Crc32.of_string payload <> crc then
+    if Rs_graph.Crc32.of_string payload <> crc then
       Binio.corrupt "section %d (kind %d): checksum mismatch" i kind;
     sections := (kind, payload) :: !sections
   done;
@@ -231,7 +231,7 @@ let write ~dir t =
   Obs.add c_bytes (String.length data);
   path
 
-let read path = of_string (In_channel.with_open_bin path In_channel.input_all)
+let read path = of_string (Fsutil.read_file path)
 
 let remove_temp ~dir =
   Sys.readdir dir |> Array.iter (fun name ->

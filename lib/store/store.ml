@@ -22,12 +22,6 @@ type t = {
   mutable closed : bool;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let snapshot_value t =
   if t.states_stale then
     invalid_arg "Store.snapshot_value: spanner states are stale (rebuild first)";
@@ -40,7 +34,7 @@ let snapshot_value t =
         t.states }
 
 let create ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ~dir ~specs g =
-  mkdir_p dir;
+  Fsutil.mkdir_p dir;
   if Snapshot.list_dir ~dir <> [] || Wal.segment_files ~dir <> [] then
     failwith (Printf.sprintf "Store.create: %s already contains a store (recover it instead)" dir);
   let states = List.map (fun spec -> (spec, Repair.init spec g)) specs in

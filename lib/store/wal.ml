@@ -97,7 +97,7 @@ let encode_record ~seq delta =
   let body = Buffer.contents body in
   let rec_buf = Buffer.create (8 + String.length body) in
   Binio.w_u32 rec_buf (String.length body - 8);
-  Binio.w_u32 rec_buf (Crc32.of_string body);
+  Binio.w_u32 rec_buf (Rs_graph.Crc32.of_string body);
   Buffer.add_string rec_buf body;
   Buffer.contents rec_buf
 
@@ -109,7 +109,7 @@ let decode_record s ~pos =
     let crc = Int32.to_int (String.get_int32_le s (pos + 4)) land 0xFFFFFFFF in
     let seq = Int64.to_int (String.get_int64_le s (pos + 8)) in
     if plen > len - pos - record_header_len then `Need_more
-    else if Crc32.of_substring s ~pos:(pos + 8) ~len:(8 + plen) <> crc then
+    else if Rs_graph.Crc32.of_substring s ~pos:(pos + 8) ~len:(8 + plen) <> crc then
       `Bad "record checksum mismatch"
     else
       match Rs_dynamic.Delta.parse (String.sub s (pos + record_header_len) plen) with
@@ -157,7 +157,7 @@ type scan = { records : record list; truncation : truncation option }
 (* One segment: the valid record prefix plus where/why it ends early.
    Never raises — every malformation becomes a truncation point. *)
 let scan_file ~name_seq file =
-  let s = In_channel.with_open_bin file In_channel.input_all in
+  let s = Fsutil.read_file file in
   let len = String.length s in
   let bad offset reason = ([], Some { t_file = file; t_offset = offset; t_reason = reason }) in
   if len < header_len then bad 0 "torn segment header"
@@ -185,7 +185,7 @@ let scan_file ~name_seq file =
           let seq = Int64.to_int (String.get_int64_le s (start + 8)) in
           if plen > len - start - record_header_len then
             stop := Some (start, "torn record payload")
-          else if Crc32.of_substring s ~pos:(start + 8) ~len:(8 + plen) <> crc then
+          else if Rs_graph.Crc32.of_substring s ~pos:(start + 8) ~len:(8 + plen) <> crc then
             stop := Some (start, "record checksum mismatch")
           else begin
             let expected = first_seq + !count in

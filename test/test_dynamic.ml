@@ -363,6 +363,24 @@ let prop_underestimated_radius_escalates seed =
       && o.Repair.level <> Repair.Local
       && Rs_core.Verify.is_remote_spanner (Repair.graph st) (Repair.spanner st) ~alpha ~beta
 
+(* Under an under-estimated radius the repaired state must still equal
+   a from-scratch build, not merely verify: a fringe tree that stays
+   dominating but is no longer the tree [build] would pick has to be
+   caught by the gate and recomputed. *)
+let prop_underestimated_radius_equals_build seed =
+  let rand = Rand.create seed in
+  let n = 30 in
+  let g = Gen.random_connected rand n (4.0 /. float_of_int n) in
+  List.for_all
+    (fun spec ->
+      let st = Repair.init spec g in
+      List.for_all
+        (fun _ ->
+          ignore (Repair.apply ~dirty_radius:0 st (random_delta rand (Repair.graph st)));
+          Repair.pairs st = pairs_of_set (Repair.build spec (Repair.graph st)))
+        (List.init 6 Fun.id))
+    all_specs
+
 (* The pre-overlay [Delta.effect]: both edge sets as full hash tables.
    Kept as the reference the O(|delta|) overlay must reproduce. *)
 let ref_effect g ops =
@@ -523,6 +541,8 @@ let () =
           make_prop ~count:25 "every spec = from-scratch, verified" prop_all_specs_equivalence;
           make_prop ~count:25 "under-estimated radius escalates"
             prop_underestimated_radius_escalates;
+          make_prop ~count:40 "under-estimated radius = from-scratch"
+            prop_underestimated_radius_equals_build;
           make_prop ~count:100 "effect = hash-table reference" prop_effect_matches_reference;
           prop_parse_print_roundtrip;
         ] );

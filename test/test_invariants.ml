@@ -37,10 +37,10 @@ let test_union_locality () =
         (List.sort compare (part1 @ part2))
         combined)
     [
-      ("exact", Remote_spanner.exact_distance);
+      ("exact", fun g -> Remote_spanner.exact_distance g);
       ("low-stretch", fun g -> Remote_spanner.low_stretch g ~eps:0.5);
       ("k-conn", fun g -> Remote_spanner.k_connecting g ~k:2);
-      ("2-conn", Remote_spanner.two_connecting);
+      ("2-conn", fun g -> Remote_spanner.two_connecting g);
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -113,11 +113,11 @@ let test_asymmetric_slack_on_random () =
 
 let constructions =
   [
-    ("exact", Remote_spanner.exact_distance);
+    ("exact", fun g -> Remote_spanner.exact_distance g);
     ("low-stretch", fun g -> Remote_spanner.low_stretch g ~eps:0.5);
     ("gdy r3b1", fun g -> Remote_spanner.rem_span g ~r:3 ~beta:1);
     ("k-conn", fun g -> Remote_spanner.k_connecting g ~k:2);
-    ("2-conn", Remote_spanner.two_connecting);
+    ("2-conn", fun g -> Remote_spanner.two_connecting g);
     ("mis k3", fun g -> Remote_spanner.k_connecting_mis g ~k:3);
   ]
 

@@ -11,17 +11,10 @@ module Snapshot = Rs_store.Snapshot
 module Binio = Rs_store.Binio
 module Frame = Rs_net.Frame
 module Net_chaos = Rs_net.Net_chaos
+module Fsutil = Rs_store.Fsutil
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
 
 let tmp_count = ref 0
 
@@ -32,7 +25,7 @@ let tmp_dir name =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "rs_net_test_%d_%s_%d" (Unix.getpid ()) name !tmp_count)
   in
-  rm_rf d;
+  Fsutil.rm_rf d;
   d
 
 let contains s sub =
@@ -233,7 +226,7 @@ let test_wal_gap_at_rotation () =
   Wal.close_writer w3;
   let scan3 = Wal.scan_dir ~dir ~after_seq:0 in
   check_int "log is whole again" 4 (List.length scan3.Wal.records);
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 (* {1 Network chaos as acceptance} *)
 
@@ -249,7 +242,7 @@ let test_net_chaos () =
   check_int "all scenarios ran" 5 r.Net_chaos.scenarios;
   check "reconnects were exercised" true (r.Net_chaos.reconnects >= 2);
   check "reasoned disconnects were exercised" true (r.Net_chaos.disconnects >= 2);
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let () =
   Alcotest.run "net"

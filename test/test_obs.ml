@@ -191,13 +191,17 @@ let prop_parallel_metrics_match =
       let g = Gen.erdos_renyi (Rand.create seed) n 0.08 in
       Obs.set_enabled true;
       Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-      Obs.reset ();
-      let h_seq = Rs_core.Remote_spanner.exact_distance g in
-      let seq = snapshot () in
-      Obs.reset ();
-      let h_par = Rs_core.Parallel.exact_distance ~domains:4 g in
-      let par = snapshot () in
-      Edge_set.cardinal h_seq = Edge_set.cardinal h_par && seq = par)
+      List.for_all
+        (fun build ->
+          Obs.reset ();
+          let h_seq = build ~domains:1 g in
+          let seq = snapshot () in
+          Obs.reset ();
+          let h_par = build ~domains:4 g in
+          let par = snapshot () in
+          Edge_set.equal h_seq h_par && seq = par)
+        [ (fun ~domains g -> Rs_core.Remote_spanner.exact_distance ~domains g);
+          (fun ~domains g -> Rs_core.Remote_spanner.two_connecting ~domains g) ])
 
 (* ------------------------------------------------------------------ *)
 (* quantiles *)

@@ -17,63 +17,61 @@ let small = Gen.petersen ()
 
 let test_parallel_equals_sequential () =
   List.iter
-    (fun (name, par, seq) ->
-      check (name ^ " identical") true (Edge_set.equal (par big) (seq big));
-      check (name ^ " identical small") true (Edge_set.equal (par small) (seq small)))
+    (fun (name, build) ->
+      List.iter
+        (fun g ->
+          check (name ^ " identical") true (Edge_set.equal (build ~domains:4 g) (build ~domains:1 g)))
+        [ big; small ])
     [
-      ( "exact",
-        (fun g -> Parallel.exact_distance ~domains:4 g),
-        Remote_spanner.exact_distance );
-      ( "low-stretch",
-        (fun g -> Parallel.low_stretch ~domains:4 g ~eps:0.5),
-        fun g -> Remote_spanner.low_stretch g ~eps:0.5 );
-      ( "k-conn",
-        (fun g -> Parallel.k_connecting ~domains:4 g ~k:2),
-        fun g -> Remote_spanner.k_connecting g ~k:2 );
-      ( "2-conn",
-        (fun g -> Parallel.two_connecting ~domains:4 g),
-        Remote_spanner.two_connecting );
+      ("exact", fun ~domains g -> Remote_spanner.exact_distance ~domains g);
+      ("low-stretch", fun ~domains g -> Remote_spanner.low_stretch ~domains g ~eps:0.5);
+      ("k-conn", fun ~domains g -> Remote_spanner.k_connecting ~domains g ~k:2);
+      ("2-conn", fun ~domains g -> Remote_spanner.two_connecting ~domains g);
     ]
 
 let test_parallel_domain_counts () =
   (* result independent of the domain count *)
-  let reference = Parallel.exact_distance ~domains:1 big in
+  let reference = Remote_spanner.exact_distance big in
   List.iter
     (fun d ->
       check
         (Printf.sprintf "domains=%d" d)
         true
-        (Edge_set.equal reference (Parallel.exact_distance ~domains:d big)))
+        (Edge_set.equal reference (Remote_spanner.exact_distance ~domains:d big)))
     [ 2; 3; 5; 7; 16 ]
 
 let test_parallel_empty_and_tiny () =
   let g0 = Gen.empty 0 in
-  check_int "empty" 0 (Edge_set.cardinal (Parallel.exact_distance ~domains:4 g0));
+  check_int "empty" 0 (Edge_set.cardinal (Remote_spanner.exact_distance ~domains:4 g0));
   let g1 = Gen.path_graph 3 in
   check "tiny equals seq" true
     (Edge_set.equal
-       (Parallel.exact_distance ~domains:4 g1)
+       (Remote_spanner.exact_distance ~domains:4 g1)
        (Remote_spanner.exact_distance g1))
 
 let test_default_domains_positive () =
-  check "positive" true (Parallel.default_domains () >= 1)
+  check "positive" true (Sharded.default_domains () >= 1)
 
 let test_parallel_verify_agrees () =
-  (* positive and negative cases, across domain counts *)
+  (* the scratch-based early-abort check against the reference oracle,
+     positive and negative cases, across domain counts *)
   let g = big in
   let good = Remote_spanner.low_stretch g ~eps:0.5 in
   let bad = Edge_set.copy good in
   (* break it: drop a third of its edges *)
   let rand = Rand.create 7 in
   Edge_set.iter (fun u v -> if Rand.int rand 3 = 0 then Edge_set.remove bad u v) good;
+  let reference h =
+    Verify.remote_spanner_violations ~max_violations:1 g h ~alpha:1.5 ~beta:0.0 = []
+  in
+  check "good is good" true (reference good);
+  check "bad is bad" false (reference bad);
   List.iter
     (fun d ->
       check "good agrees" true
-        (Parallel.is_remote_spanner ~domains:d g good ~alpha:1.5 ~beta:0.0
-        = Verify.is_remote_spanner g good ~alpha:1.5 ~beta:0.0);
+        (Verify.is_remote_spanner ~domains:d g good ~alpha:1.5 ~beta:0.0 = reference good);
       check "bad agrees" true
-        (Parallel.is_remote_spanner ~domains:d g bad ~alpha:1.5 ~beta:0.0
-        = Verify.is_remote_spanner g bad ~alpha:1.5 ~beta:0.0))
+        (Verify.is_remote_spanner ~domains:d g bad ~alpha:1.5 ~beta:0.0 = reference bad))
     [ 1; 3; 6 ]
 
 (* ---------------------------------------------------------------- *)

@@ -8,6 +8,7 @@ module Repair = Rs_dynamic.Repair
 module Store = Rs_store.Store
 module Service = Rs_serve.Service
 module Chaos = Rs_serve.Chaos
+module Fsutil = Rs_store.Fsutil
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -16,14 +17,6 @@ let udg ~seed ~n ~density =
   let rand = Rand.create seed in
   let side = sqrt (float_of_int n /. density) in
   Rs_geometry.Unit_ball.udg (Rs_geometry.Sampler.uniform rand ~n ~dim:2 ~side)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
 
 let tmp_count = ref 0
 
@@ -34,7 +27,7 @@ let tmp_dir name =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "rs_serve_test_%d_%s_%d" (Unix.getpid ()) name !tmp_count)
   in
-  rm_rf d;
+  Fsutil.rm_rf d;
   d
 
 let spec = Repair.Gdy_k { k = 1 }
@@ -271,7 +264,7 @@ let test_durable_roundtrip () =
         (Edge_set.to_list live = Repair.pairs rec_state))
     spanners_live (Store.states store2);
   Store.close store2;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 (* ---------------------------------------------------------------- *)
 (* Acceptance: every chaos scenario ends in a verified state. *)
@@ -286,7 +279,7 @@ let test_chaos () =
   check_int "all scenarios ran" (List.length Chaos.names) r.Chaos.scenarios;
   check "saturation produced explicit rejections" true (r.Chaos.rejections > 0);
   check "the wedged writer failed over" true (r.Chaos.failovers >= 1);
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let () =
   Alcotest.run "serve"

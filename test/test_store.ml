@@ -6,23 +6,15 @@
 open Rs_graph
 module Delta = Rs_dynamic.Delta
 module Repair = Rs_dynamic.Repair
-module Crc32 = Rs_store.Crc32
 module Binio = Rs_store.Binio
 module Snapshot = Rs_store.Snapshot
 module Wal = Rs_store.Wal
 module Store = Rs_store.Store
 module Crash = Rs_store.Crash
+module Fsutil = Rs_store.Fsutil
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
 
 let tmp_count = ref 0
 
@@ -34,7 +26,7 @@ let tmp_dir name =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "rs_store_test_%d_%s_%d" (Unix.getpid ()) name !tmp_count)
   in
-  rm_rf d;
+  Fsutil.rm_rf d;
   d
 
 (* ---------------------------------------------------------------- *)
@@ -170,7 +162,7 @@ let test_wal_roundtrip () =
   let scan4 = Wal.scan_dir ~dir ~after_seq:4 in
   check "after_seq skips covered records" true
     (List.map (fun r -> r.Wal.seq) scan4.Wal.records = [ 5; 6 ]);
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let test_wal_torn_tail () =
   let dir = tmp_dir "wal_torn" in
@@ -193,7 +185,7 @@ let test_wal_torn_tail () =
   let rescan = Wal.scan_dir ~dir ~after_seq:0 in
   check "physical truncation heals the log" true
     (rescan.Wal.truncation = None && List.length rescan.Wal.records = 5);
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 (* every:N batches fsyncs, but rotation must not extend the risk
    window: sealing a segment flushes and fsyncs it regardless of how
@@ -231,7 +223,7 @@ let test_wal_every_n_rotation () =
     (List.filteri (fun i _ -> i < List.length scan.Wal.records)
        (List.mapi (fun i d -> (i + 1, d)) some_deltas));
   Wal.close_writer w;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let test_wal_policy_parse () =
   check "always" true (Wal.policy_of_string "always" = Ok Wal.Always);
@@ -273,7 +265,7 @@ let test_store_recover () =
   let t2, rcv2 = Store.recover ~verify:true ~dir () in
   check_int "second recovery sees the new record" 7 rcv2.Store.last_seq;
   Store.close t2;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let test_store_quiescent_append () =
   let dir = tmp_dir "store_quiescent" in
@@ -284,7 +276,7 @@ let test_store_quiescent_append () =
   check "sync_to same graph logs nothing" true
     (Store.sync_to st (Store.graph st) = [] && Store.seq st = seq);
   Store.close st;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let test_store_compact () =
   let dir = tmp_dir "store_compact" in
@@ -300,7 +292,7 @@ let test_store_compact () =
   check "graph identical" true
     (Graph.equal (Delta.apply live [ Delta.Add_edge (3, 17) ]) (Store.graph t));
   Store.close t;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 (* ---------------------------------------------------------------- *)
 (* Named crash points *)
@@ -318,7 +310,7 @@ let test_crash_torn_final_record () =
   check "damage reported" true (rcv.Store.truncated <> None);
   check "recovered the verified prefix" true (Graph.equal before_last (Store.graph t));
   Store.close t;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let test_crash_corrupt_mid_segment () =
   let dir = tmp_dir "crash_crc" in
@@ -342,7 +334,7 @@ let test_crash_corrupt_mid_segment () =
   let expect = Delta.apply (Gen.cycle 24) (List.concat (List.filteri (fun i _ -> i < 2) some_deltas)) in
   check "recovered the verified prefix" true (Graph.equal expect (Store.graph t));
   Store.close t;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let test_crash_truncated_snapshot () =
   let dir = tmp_dir "crash_snap" in
@@ -358,7 +350,7 @@ let test_crash_truncated_snapshot () =
   check_int "replayed the full log instead" 6 rcv.Store.replayed;
   check "exact pre-crash state" true (Graph.equal live (Store.graph t));
   Store.close t;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 let test_crash_interrupted_rename () =
   let dir = tmp_dir "crash_rename" in
@@ -376,7 +368,7 @@ let test_crash_interrupted_rename () =
   check "tmp residue swept" true
     (not (Sys.file_exists (newest ^ ".tmp")));
   Store.close t;
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 (* ---------------------------------------------------------------- *)
 (* Acceptance *)
@@ -388,7 +380,7 @@ let test_crash_harness () =
     Alcotest.failf "crash harness: %s" (Format.asprintf "%a" Crash.pp_report report);
   check "several sites injected" true (report.Crash.cases >= 10);
   check "both regimes observed" true (report.Crash.exact > 0 && report.Crash.prefix > 0);
-  rm_rf dir
+  Fsutil.rm_rf dir
 
 (* snapshot load must beat the text parser decisively; the bench gates
    the >= 10x headline at n=2000, this is a generous in-test floor *)
