@@ -44,10 +44,10 @@ let exact_distance ?domains g =
 
 let k_connecting ?domains g ~k = sharded "build/k_connecting" ?domains g (Sharded.Gdy_k { k })
 
-let k_connecting_mis ?domains g ~k =
-  sharded "build/k_connecting_mis" ?domains g (Sharded.Mis_k { k })
+let k_connecting_mis g ~k = sharded "build/k_connecting_mis" g (Sharded.Mis_k { k })
 
-let two_connecting ?domains g = k_connecting_mis ?domains g ~k:2
+let two_connecting ?domains g =
+  sharded "build/k_connecting_mis" ?domains g (Sharded.Mis_k { k = 2 })
 
 module Distributed = struct
   type report = {

@@ -9,10 +9,11 @@
     the LOCAL-model simulator and returns round/message counts).
 
     Each tree depends only on a constant-radius neighborhood, so the
-    per-root work is independent: every entry point below takes
-    [?domains] (default 1) and fans the roots over that many OCaml 5
-    domains through {!Sharded.build} (forced to 1 below 64 vertices).
-    The edge set does not depend on the domain count. *)
+    per-root work is independent: every entry point below routes
+    through {!Sharded.build}, and all but {!k_connecting_mis} take
+    [?domains] (default 1) to fan the roots over that many OCaml 5
+    domains (forced to 1 below 64 vertices). The edge set does not
+    depend on the domain count. *)
 
 open Rs_graph
 
@@ -49,7 +50,7 @@ val two_connecting : ?domains:int -> Graph.t -> Edge_set.t
     (2,-1)-remote-spanner with O(n) edges on unit ball graphs of
     doubling metrics. *)
 
-val k_connecting_mis : ?domains:int -> Graph.t -> k:int -> Edge_set.t
+val k_connecting_mis : Graph.t -> k:int -> Edge_set.t
 (** Union of Algorithm-5 trees for arbitrary k (the paper proves the
     remote-spanner property for k = 2; larger k still yields
     k-connecting dominating trees and is exercised as an extension). *)

@@ -140,6 +140,7 @@ type ctx = {
   mutable unsafe : int list; (* roots owed to the boundary-repair pass *)
 }
 
+(* [Mis_k] uses only [scratch] and [acc], so it passes [n = 0] *)
 let create_ctx n =
   {
     ms = Msbfs.create ();
@@ -366,8 +367,8 @@ let build ?domains ?order ?chunk ?(local = false) g strat =
     match chunk with Some c -> max 1 (min Msbfs.width c) | None -> Msbfs.width
   in
   let order =
-    match order with
-    | Some o ->
+    match (order, strat) with
+    | Some o, _ ->
         (* a duplicate entry would silently drop the missing roots'
            trees from the spanner, so check for a true permutation *)
         if Array.length o <> n then
@@ -379,9 +380,12 @@ let build ?domains ?order ?chunk ?(local = false) g strat =
               invalid_arg "Sharded.build: order must be a permutation of the vertex range";
             Bytes.set seen v '\001')
           o;
-        o
-    | None -> locality_order g
+        Some o
+    (* per-root traversals share nothing across a batch: id order *)
+    | None, Mis_k _ -> None
+    | None, _ -> Some (locality_order g)
   in
+  let ctx_size = match strat with Mis_k _ -> 0 | _ -> n in
   let result = Edge_set.create g in
   let mutex = Mutex.create () in
   let boundary = ref [] in
@@ -389,7 +393,7 @@ let build ?domains ?order ?chunk ?(local = false) g strat =
   drive ~chunk:1 ~n:nbatches ~domains
     ~stop:(fun () -> false)
     (fun claim ->
-      let ctx = create_ctx n in
+      let ctx = create_ctx ctx_size in
       let items = ref 0 in
       let rec loop () =
         match claim () with
@@ -398,7 +402,11 @@ let build ?domains ?order ?chunk ?(local = false) g strat =
             for b = lo to hi do
               let blo = b * chunk in
               let len = min chunk (n - blo) in
-              let roots = Array.sub order blo len in
+              let roots =
+                match order with
+                | Some o -> Array.sub o blo len
+                | None -> Array.init len (fun i -> blo + i)
+              in
               if local then process_batch_local g ctx strat roots
               else process_batch g ctx strat roots;
               items := !items + len

@@ -28,7 +28,9 @@ open Rs_graph
     ({!Dom_tree_k.mis_k}). [Mis_k] roots are not batched through the
     multi-source BFS: each runs {!Dom_tree_k.mis_k_edges} on its own
     radius-2 traversal (fanned over domains and merged like the rest),
-    and [?local] has no effect on it. *)
+    in vertex-id order unless [?order] is given, and each domain holds
+    only a traversal scratch, not the O(n) batch arrays the other
+    strategies allocate; [?local] has no effect on it. *)
 type strategy =
   | Gdy of { r : int; beta : int }
   | Mis of { r : int }

@@ -34,6 +34,7 @@ let remote_spanner_violations ?(max_violations = 10) g h ~alpha ~beta =
    per-source checks are independent, so sources fan out over domains;
    the first violation anywhere stops every domain at its next source. *)
 let is_remote_spanner ?(domains = 1) g h ~alpha ~beta =
+  Rs_obs.Obs.with_span "parallel/is_remote_spanner" @@ fun () ->
   let n = Graph.n g in
   let h_adj = Edge_set.to_adjacency h in
   let ok = Atomic.make true in
@@ -55,28 +56,24 @@ let is_remote_spanner ?(domains = 1) g h ~alpha ~beta =
     done;
     if !violated then Atomic.set ok false
   in
-  (* one pair of scratches per domain, reused across its chunks *)
-  let sweeper () =
-    let sg = Bfs.Scratch.create () and sh = Bfs.Scratch.create () in
-    fun lo hi ->
-      let u = ref lo in
-      while Atomic.get ok && !u <= hi do
-        check_source sg sh !u;
-        incr u
-      done;
-      !u - lo
-  in
-  if domains <= 1 || n < 64 then ignore (sweeper () 0 (n - 1))
-  else
-    Rs_obs.Obs.with_span "parallel/is_remote_spanner" (fun () ->
-        Sharded.drive ~n ~domains
-          ~stop:(fun () -> not (Atomic.get ok))
-          (fun claim ->
-            let sweep = sweeper () in
-            let rec loop items =
-              match claim () with None -> items | Some (lo, hi) -> loop (items + sweep lo hi)
-            in
-            loop 0));
+  let domains = if n < 64 then 1 else max 1 domains in
+  Sharded.drive ~n ~domains
+    ~stop:(fun () -> not (Atomic.get ok))
+    (fun claim ->
+      (* one pair of scratches per domain, reused across its chunks *)
+      let sg = Bfs.Scratch.create () and sh = Bfs.Scratch.create () in
+      let rec loop items =
+        match claim () with
+        | None -> items
+        | Some (lo, hi) ->
+            let u = ref lo in
+            while Atomic.get ok && !u <= hi do
+              check_source sg sh !u;
+              incr u
+            done;
+            loop (items + (!u - lo))
+      in
+      loop 0);
   Atomic.get ok
 
 type histogram = {

@@ -30,7 +30,8 @@ val is_remote_spanner :
     violation. With [?domains] (default 1; forced to 1 below 64
     vertices) the independent per-source checks are fanned over that
     many OCaml 5 domains by {!Sharded.drive}, and a violation found by
-    one domain stops the others at their next source. *)
+    one domain stops the others at their next source. Recorded under a
+    [parallel/is_remote_spanner] span at every domain count. *)
 
 type histogram = {
   pairs : int;  (** ordered non-adjacent connected pairs measured *)

@@ -1,6 +1,5 @@
 open Rs_graph
 open Rs_dynamic
-module Verify = Rs_core.Verify
 
 (* {1 Random churn} *)
 
@@ -62,21 +61,7 @@ let wait_until ?(timeout = 20.0) ~what pred =
   in
   go ()
 
-let verify_state ~what g spanners =
-  List.iter
-    (fun (spec, sp) ->
-      if Edge_set.to_list sp <> Edge_set.to_list (Repair.build spec g) then
-        failwith
-          (Format.asprintf "%s: %a spanner diverges from a from-scratch build"
-             what Repair.pp_spec spec);
-      match Repair.alpha_beta spec with
-      | Some (alpha, beta) ->
-          if not (Verify.is_remote_spanner g sp ~alpha ~beta) then
-            failwith
-              (Format.asprintf "%s: %a spanner violates its (%.1f, %.1f) guarantee"
-                 what Repair.pp_spec spec alpha beta)
-      | None -> ())
-    spanners
+let verify_state ~what = Store.verify_spanners ~what:(what ^ ":")
 
 (* the snapshot encoding is deterministic, so equal states have equal
    bytes *)

@@ -17,10 +17,7 @@ val wait_until : ?timeout:float -> what:string -> (unit -> bool) -> unit
     [what] after [timeout] seconds (default 20). *)
 
 val verify_state : what:string -> Graph.t -> (Repair.spec * Edge_set.t) list -> unit
-(** The recovery gate: every spanner must equal a from-scratch
-    {!Repair.build} on [g] and pass {!Rs_core.Verify.is_remote_spanner}
-    at the spec's {!Repair.alpha_beta}. Raises [Failure] prefixed with
-    [what] otherwise. *)
+(** {!Store.verify_spanners}, with failures prefixed by [what ^ ":"]. *)
 
 val gate_byte_identical : what:string -> string -> string -> unit
 (** [gate_byte_identical ~what dir_a dir_b] recovers a copy of each

@@ -138,24 +138,21 @@ let pp_recovery fmt r =
     r.snapshots_skipped;
   Format.fprintf fmt "@]"
 
-let verify_states g states =
+let verify_spanners ~what g spanners =
   List.iter
-    (fun (spec, st) ->
-      let rebuilt = Edge_set.to_list (Repair.build spec g) in
-      if Repair.pairs st <> rebuilt then
+    (fun (spec, sp) ->
+      if Edge_set.to_list sp <> Edge_set.to_list (Repair.build spec g) then
         failwith
-          (Format.asprintf
-             "Store.recover: recovered %a spanner diverges from a from-scratch build"
+          (Format.asprintf "%s %a spanner diverges from a from-scratch build" what
              Repair.pp_spec spec);
       match Repair.alpha_beta spec with
       | Some (alpha, beta) ->
-          if not (Rs_core.Verify.is_remote_spanner g (Repair.spanner st) ~alpha ~beta) then
+          if not (Rs_core.Verify.is_remote_spanner g sp ~alpha ~beta) then
             failwith
-              (Format.asprintf
-                 "Store.recover: recovered %a spanner violates its (%.1f, %.1f) guarantee"
+              (Format.asprintf "%s %a spanner violates its (%.1f, %.1f) guarantee" what
                  Repair.pp_spec spec alpha beta)
       | None -> ())
-    states
+    spanners
 
 let recover ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ?(verify = false) ~dir () =
   Obs.with_span "store/recover" @@ fun () ->
@@ -227,7 +224,10 @@ let recover ?(policy = Wal.Always) ?(segment_bytes = 1 lsl 20) ?(verify = false)
       Wal.truncate ~dir tr;
       Obs.incr c_truncations
   | None -> ());
-  if verify then Obs.with_span "verify" (fun () -> verify_states !g states);
+  if verify then
+    Obs.with_span "verify" (fun () ->
+        verify_spanners ~what:"Store.recover: recovered" !g
+          (List.map (fun (spec, st) -> (spec, Repair.spanner st)) states));
   let t =
     { dir; policy; segment_bytes; seq = !last; g = !g; states; states_stale = false;
       wal = Wal.create_writer ~policy ~segment_bytes ~dir ~next_seq:(!last + 1) ();

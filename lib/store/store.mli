@@ -100,6 +100,13 @@ val close : t -> unit
 (** Seal the WAL (final fsync unless the policy is [Never]). The store
     refuses further appends. *)
 
+val verify_spanners :
+  what:string -> Rs_graph.Graph.t -> (Repair.spec * Rs_graph.Edge_set.t) list -> unit
+(** The oracle gate: every spanner must equal a from-scratch
+    {!Repair.build} on [g] and pass {!Rs_core.Verify.is_remote_spanner}
+    at its spec's {!Repair.alpha_beta} when the paper states one.
+    Raises [Failure] whose message starts with [what] otherwise. *)
+
 (** {1 Recovery} *)
 
 type recovery = {
@@ -133,10 +140,7 @@ val recover :
       through {!Repair.apply}, stopping at the first torn or corrupt
       record and physically truncating the log there;
     + with [~verify:true] (default false; the CLI defaults it on),
-      gate the result: every recovered spanner must equal a
-      from-scratch {!Repair.build} on the recovered graph, and must
-      pass {!Rs_core.Verify.is_remote_spanner} at its spec's
-      [alpha_beta] when the paper states one — raising [Failure]
+      gate the result through {!verify_spanners} — raising [Failure]
       rather than returning a state that fails its own invariants;
     + reopen the WAL for appending at [last_seq + 1].
 
